@@ -29,6 +29,11 @@ use tablog_trace::MetricsReport;
 /// Name prefix of depth-k abstract predicates.
 pub const AK_PREFIX: &str = "ak$";
 
+/// The default truncation depth: Table 4's k = 1. The depth-k CLI commands
+/// and [`DepthKAnalyzer::default`] all use it; k ≥ 2 is combinatorial on
+/// the larger Table 4 programs (`read`).
+pub const DEFAULT_K: usize = 1;
+
 /// Depth-k results for one predicate.
 #[derive(Clone, Debug)]
 pub struct PredDepthK {
@@ -93,7 +98,7 @@ pub struct DepthKAnalyzer {
 impl Default for DepthKAnalyzer {
     fn default() -> Self {
         DepthKAnalyzer {
-            k: 2,
+            k: DEFAULT_K,
             load_mode: LoadMode::Dynamic,
             options: EngineOptions::default(),
             profile: false,
@@ -340,25 +345,40 @@ fn build(f: Functor, args: Vec<Term>) -> Term {
 
 /// Truncates every term of a canonical tuple at depth `k`: subterms below
 /// the cut become γ if ground, a fresh variable otherwise. Works entirely
-/// inside the calling engine's session arena.
+/// inside the calling engine's session arena. A tuple no taller than `k`
+/// has nothing to cut and comes back as it is, read off the arena's cached
+/// height without instantiating anything.
 fn truncate_tuple(arena: &mut TermArena, c: &CanonicalTerm, k: usize) -> CanonicalTerm {
+    if arena.height(c) <= k {
+        return *c;
+    }
+    truncate_tuple_full(arena, c, k)
+}
+
+/// [`truncate_tuple`] without the height check: instantiate, cut, and
+/// re-canonicalize.
+fn truncate_tuple_full(arena: &mut TermArena, c: &CanonicalTerm, k: usize) -> CanonicalTerm {
     let mut b = Bindings::new();
     let terms = arena.instantiate(c, &mut b);
-    let truncated: Vec<Term> = terms.iter().map(|t| truncate(t, k, &mut b)).collect();
+    let gamma = Term::Atom(intern(GAMMA));
+    let truncated: Vec<Term> = terms
+        .iter()
+        .map(|t| truncate(t, k, &gamma, &mut b))
+        .collect();
     arena.canonicalize(&b, &truncated)
 }
 
-fn truncate(t: &Term, k: usize, b: &mut Bindings) -> Term {
+fn truncate(t: &Term, k: usize, gamma: &Term, b: &mut Bindings) -> Term {
     match t {
         Term::Struct(s, args) => {
             if k == 0 {
                 if t.is_ground() {
-                    atom(GAMMA)
+                    gamma.clone()
                 } else {
                     Term::Var(b.fresh_var())
                 }
             } else {
-                let new: Vec<Term> = args.iter().map(|a| truncate(a, k - 1, b)).collect();
+                let new: Vec<Term> = args.iter().map(|a| truncate(a, k - 1, gamma, b)).collect();
                 Term::Struct(*s, new.into())
             }
         }
@@ -488,6 +508,7 @@ fn abstract_goal(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn truncation_caps_term_growth() {
@@ -583,6 +604,47 @@ mod tests {
                 "{name}/{arity}"
             );
         }
+    }
+
+    fn arb_term() -> impl Strategy<Value = Term> {
+        let leaf = prop_oneof![
+            (0u32..4).prop_map(|v| Term::Var(Var(v))),
+            prop_oneof![Just("a"), Just("[]"), Just(GAMMA)].prop_map(atom),
+        ];
+        leaf.prop_recursive(5, 40, 3, |inner| {
+            (
+                prop_oneof![Just("f"), Just(".")],
+                prop::collection::vec(inner, 1..3),
+            )
+                .prop_map(|(name, args)| structure(name, args))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// The height fast path is exact: whenever it applies, the full
+        /// instantiate → cut → re-canonicalize route returns the same id,
+        /// and the two agree at every depth either way.
+        #[test]
+        fn height_fast_path_matches_full_truncation(
+            ts in prop::collection::vec(arb_term(), 0..4),
+            k in 0usize..5,
+        ) {
+            let mut arena = TermArena::new();
+            let c = arena.canonicalize(&Bindings::new(), &ts);
+            let full = truncate_tuple_full(&mut arena, &c, k);
+            prop_assert_eq!(truncate_tuple(&mut arena, &c, k), full);
+            if arena.height(&c) <= k {
+                prop_assert_eq!(full, c);
+            }
+        }
+    }
+
+    #[test]
+    fn default_k_is_table4_depth() {
+        assert_eq!(DEFAULT_K, 1);
+        assert_eq!(DepthKAnalyzer::default().k, DEFAULT_K);
     }
 
     #[test]

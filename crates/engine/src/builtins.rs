@@ -14,7 +14,10 @@
 
 use crate::error::EngineError;
 use std::cmp::Ordering;
-use tablog_term::{atom, int, intern, structure, sym_name, var, Bindings, Functor, Term};
+use std::sync::OnceLock;
+use tablog_term::{
+    atom, int, intern, structure, sym_name, var, Bindings, FastMap, Functor, Sym, Term,
+};
 
 /// A deterministic builtin: binds into `b`, returns whether it succeeded.
 pub type DetFn = fn(&mut Bindings, &[Term]) -> Result<bool, EngineError>;
@@ -34,112 +37,218 @@ pub enum BuiltinImpl {
     NonDet(NonDetFn),
 }
 
+/// The named builtins with fixed arity, in the order
+/// [`builtin_functors`] reports them.
+fn named_builtins() -> Vec<(&'static str, usize, BuiltinImpl)> {
+    use BuiltinImpl::*;
+    vec![
+        ("true", 0, Det(|_, _| Ok(true))),
+        ("fail", 0, Det(|_, _| Ok(false))),
+        ("false", 0, Det(|_, _| Ok(false))),
+        ("=", 2, Det(|b, a| Ok(tablog_term::unify(b, &a[0], &a[1])))),
+        (
+            "\\=",
+            2,
+            Det(|b, a| {
+                let m = b.mark();
+                let ok = tablog_term::unify(b, &a[0], &a[1]);
+                b.undo_to(m);
+                Ok(!ok)
+            }),
+        ),
+        (
+            "==",
+            2,
+            Det(|b, a| Ok(b.resolve(&a[0]) == b.resolve(&a[1]))),
+        ),
+        (
+            "\\==",
+            2,
+            Det(|b, a| Ok(b.resolve(&a[0]) != b.resolve(&a[1]))),
+        ),
+        ("@<", 2, Det(|b, a| Ok(cmp(b, a) == Ordering::Less))),
+        ("@>", 2, Det(|b, a| Ok(cmp(b, a) == Ordering::Greater))),
+        ("@=<", 2, Det(|b, a| Ok(cmp(b, a) != Ordering::Greater))),
+        ("@>=", 2, Det(|b, a| Ok(cmp(b, a) != Ordering::Less))),
+        (
+            "is",
+            2,
+            Det(|b, a| {
+                let v = arith_eval(b, &a[1])?;
+                Ok(tablog_term::unify(b, &a[0], &int(v)))
+            }),
+        ),
+        (
+            "=:=",
+            2,
+            Det(|b, a| Ok(arith_eval(b, &a[0])? == arith_eval(b, &a[1])?)),
+        ),
+        (
+            "=\\=",
+            2,
+            Det(|b, a| Ok(arith_eval(b, &a[0])? != arith_eval(b, &a[1])?)),
+        ),
+        (
+            "<",
+            2,
+            Det(|b, a| Ok(arith_eval(b, &a[0])? < arith_eval(b, &a[1])?)),
+        ),
+        (
+            ">",
+            2,
+            Det(|b, a| Ok(arith_eval(b, &a[0])? > arith_eval(b, &a[1])?)),
+        ),
+        (
+            "=<",
+            2,
+            Det(|b, a| Ok(arith_eval(b, &a[0])? <= arith_eval(b, &a[1])?)),
+        ),
+        (
+            ">=",
+            2,
+            Det(|b, a| Ok(arith_eval(b, &a[0])? >= arith_eval(b, &a[1])?)),
+        ),
+        ("var", 1, Det(|b, a| Ok(b.walk(&a[0]).is_var()))),
+        ("nonvar", 1, Det(|b, a| Ok(!b.walk(&a[0]).is_var()))),
+        (
+            "atom",
+            1,
+            Det(|b, a| Ok(matches!(b.walk(&a[0]), Term::Atom(_)))),
+        ),
+        (
+            "number",
+            1,
+            Det(|b, a| Ok(matches!(b.walk(&a[0]), Term::Int(_)))),
+        ),
+        (
+            "integer",
+            1,
+            Det(|b, a| Ok(matches!(b.walk(&a[0]), Term::Int(_)))),
+        ),
+        (
+            "atomic",
+            1,
+            Det(|b, a| Ok(matches!(b.walk(&a[0]), Term::Atom(_) | Term::Int(_)))),
+        ),
+        (
+            "compound",
+            1,
+            Det(|b, a| Ok(matches!(b.walk(&a[0]), Term::Struct(_, _)))),
+        ),
+        ("ground", 1, Det(|b, a| Ok(b.resolve(&a[0]).is_ground()))),
+        ("functor", 3, Det(functor3)),
+        ("arg", 3, Det(arg3)),
+        ("=..", 2, Det(univ)),
+        ("between", 3, NonDet(between)),
+    ]
+}
+
+/// A control construct: a goal the machine interprets structurally instead
+/// of calling.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Control {
+    /// `','/2`.
+    Conj,
+    /// `;/2`, including `(C -> T ; E)`.
+    Disj,
+    /// `->/2` outside a disjunction.
+    IfThen,
+    /// `\+/1` and `not/1`.
+    Not,
+    /// `true/0` and `!/0` (cut is approximated by `true`).
+    True,
+    /// `call/1`.
+    Call,
+}
+
+/// Goal dispatch keyed by interned symbols, built once per process, so
+/// recognising a goal never reads a symbol's text.
+pub(crate) struct Syms {
+    controls: FastMap<Functor, Control>,
+    builtins: FastMap<Functor, BuiltinImpl>,
+    iff: Sym,
+    /// `->`, to spot an if-then-else inside a disjunction.
+    pub(crate) arrow: Sym,
+    /// `\+`, the negation an if-then-else's else-branch is guarded by.
+    pub(crate) naf: Sym,
+    gamma: Sym,
+    tru: Sym,
+    fls: Sym,
+}
+
+/// The process-wide [`Syms`] table.
+pub(crate) fn syms() -> &'static Syms {
+    static SYMS: OnceLock<Syms> = OnceLock::new();
+    SYMS.get_or_init(|| {
+        use BuiltinImpl::*;
+        let controls = [
+            (",", 2, Control::Conj),
+            (";", 2, Control::Disj),
+            ("->", 2, Control::IfThen),
+            ("\\+", 1, Control::Not),
+            ("not", 1, Control::Not),
+            ("!", 0, Control::True),
+            ("true", 0, Control::True),
+            ("call", 1, Control::Call),
+        ];
+        let mut builtins: FastMap<Functor, BuiltinImpl> = named_builtins()
+            .into_iter()
+            .map(|(n, a, imp)| (Functor::new(n, a), imp))
+            .collect();
+        builtins.insert(
+            Functor::new("$absunify", 2),
+            Det(|b, a| Ok(abs_unify(b, &a[0], &a[1]))),
+        );
+        builtins.insert(
+            Functor::new("$absground", 1),
+            Det(|b, a| {
+                abs_ground(b, &a[0]);
+                Ok(true)
+            }),
+        );
+        Syms {
+            controls: controls
+                .into_iter()
+                .map(|(n, a, c)| (Functor::new(n, a), c))
+                .collect(),
+            builtins,
+            iff: intern("$iff"),
+            arrow: intern("->"),
+            naf: intern("\\+"),
+            gamma: intern(GAMMA),
+            tru: intern("true"),
+            fls: intern("false"),
+        }
+    })
+}
+
+/// The control construct `f` names, if any.
+pub(crate) fn control(f: Functor) -> Option<Control> {
+    syms().controls.get(&f).copied()
+}
+
 /// Looks up the builtin implementing `f`, if any.
 pub fn lookup_builtin(f: Functor) -> Option<BuiltinImpl> {
-    use BuiltinImpl::*;
-    let name = sym_name(f.name);
-    if name == "$iff" && f.arity >= 1 {
-        return Some(NonDet(iff));
+    let s = syms();
+    if f.name == s.iff && f.arity >= 1 {
+        return Some(BuiltinImpl::NonDet(iff));
     }
-    if name == "$absunify" && f.arity == 2 {
-        return Some(Det(|b, a| Ok(abs_unify(b, &a[0], &a[1]))));
-    }
-    if name == "$absground" && f.arity == 1 {
-        return Some(Det(|b, a| {
-            abs_ground(b, &a[0]);
-            Ok(true)
-        }));
-    }
-    Some(match (name.as_str(), f.arity) {
-        ("true", 0) => Det(|_, _| Ok(true)),
-        ("fail", 0) | ("false", 0) => Det(|_, _| Ok(false)),
-        ("=", 2) => Det(|b, a| Ok(tablog_term::unify(b, &a[0], &a[1]))),
-        ("\\=", 2) => Det(|b, a| {
-            let m = b.mark();
-            let ok = tablog_term::unify(b, &a[0], &a[1]);
-            b.undo_to(m);
-            Ok(!ok)
-        }),
-        ("==", 2) => Det(|b, a| Ok(b.resolve(&a[0]) == b.resolve(&a[1]))),
-        ("\\==", 2) => Det(|b, a| Ok(b.resolve(&a[0]) != b.resolve(&a[1]))),
-        ("@<", 2) => Det(|b, a| Ok(cmp(b, a) == Ordering::Less)),
-        ("@>", 2) => Det(|b, a| Ok(cmp(b, a) == Ordering::Greater)),
-        ("@=<", 2) => Det(|b, a| Ok(cmp(b, a) != Ordering::Greater)),
-        ("@>=", 2) => Det(|b, a| Ok(cmp(b, a) != Ordering::Less)),
-        ("is", 2) => Det(|b, a| {
-            let v = arith_eval(b, &a[1])?;
-            Ok(tablog_term::unify(b, &a[0], &int(v)))
-        }),
-        ("=:=", 2) => Det(|b, a| Ok(arith_eval(b, &a[0])? == arith_eval(b, &a[1])?)),
-        ("=\\=", 2) => Det(|b, a| Ok(arith_eval(b, &a[0])? != arith_eval(b, &a[1])?)),
-        ("<", 2) => Det(|b, a| Ok(arith_eval(b, &a[0])? < arith_eval(b, &a[1])?)),
-        (">", 2) => Det(|b, a| Ok(arith_eval(b, &a[0])? > arith_eval(b, &a[1])?)),
-        ("=<", 2) => Det(|b, a| Ok(arith_eval(b, &a[0])? <= arith_eval(b, &a[1])?)),
-        (">=", 2) => Det(|b, a| Ok(arith_eval(b, &a[0])? >= arith_eval(b, &a[1])?)),
-        ("var", 1) => Det(|b, a| Ok(b.walk(&a[0]).is_var())),
-        ("nonvar", 1) => Det(|b, a| Ok(!b.walk(&a[0]).is_var())),
-        ("atom", 1) => Det(|b, a| Ok(matches!(b.walk(&a[0]), Term::Atom(_)))),
-        ("number", 1) | ("integer", 1) => Det(|b, a| Ok(matches!(b.walk(&a[0]), Term::Int(_)))),
-        ("atomic", 1) => Det(|b, a| Ok(matches!(b.walk(&a[0]), Term::Atom(_) | Term::Int(_)))),
-        ("compound", 1) => Det(|b, a| Ok(matches!(b.walk(&a[0]), Term::Struct(_, _)))),
-        ("ground", 1) => Det(|b, a| Ok(b.resolve(&a[0]).is_ground())),
-        ("functor", 3) => Det(functor3),
-        ("arg", 3) => Det(arg3),
-        ("=..", 2) => Det(univ),
-        ("between", 3) => NonDet(between),
-        _ => return None,
-    })
+    s.builtins.get(&f).copied()
 }
 
 /// `true` if `f` names a builtin (including control constructs the machine
 /// itself interprets).
 pub fn is_builtin(f: Functor) -> bool {
-    if lookup_builtin(f).is_some() {
-        return true;
-    }
-    let name = sym_name(f.name);
-    matches!(
-        (name.as_str(), f.arity),
-        (",", 2) | (";", 2) | ("->", 2) | ("\\+", 1) | ("not", 1) | ("call", 1) | ("!", 0)
-    )
+    lookup_builtin(f).is_some() || control(f).is_some()
 }
 
 /// Functors of all named builtins with fixed arity (used by the magic-sets
 /// transform to leave builtin literals untouched).
 pub fn builtin_functors() -> Vec<Functor> {
-    let names: &[(&str, usize)] = &[
-        ("true", 0),
-        ("fail", 0),
-        ("false", 0),
-        ("=", 2),
-        ("\\=", 2),
-        ("==", 2),
-        ("\\==", 2),
-        ("@<", 2),
-        ("@>", 2),
-        ("@=<", 2),
-        ("@>=", 2),
-        ("is", 2),
-        ("=:=", 2),
-        ("=\\=", 2),
-        ("<", 2),
-        (">", 2),
-        ("=<", 2),
-        (">=", 2),
-        ("var", 1),
-        ("nonvar", 1),
-        ("atom", 1),
-        ("number", 1),
-        ("integer", 1),
-        ("atomic", 1),
-        ("compound", 1),
-        ("ground", 1),
-        ("functor", 3),
-        ("arg", 3),
-        ("=..", 2),
-        ("between", 3),
-    ];
-    names.iter().map(|(n, a)| Functor::new(n, *a)).collect()
+    named_builtins()
+        .into_iter()
+        .map(|(n, a, _)| Functor::new(n, a))
+        .collect()
 }
 
 fn cmp(b: &Bindings, a: &[Term]) -> Ordering {
@@ -237,7 +346,7 @@ pub const GAMMA: &str = "$g";
 pub fn abs_unify(b: &mut Bindings, t1: &Term, t2: &Term) -> bool {
     let w1 = b.walk(t1).clone();
     let w2 = b.walk(t2).clone();
-    let gamma = intern(GAMMA);
+    let gamma = syms().gamma;
     let is_gamma = |t: &Term| matches!(t, Term::Atom(s) if *s == gamma);
     match (&w1, &w2) {
         (Term::Var(v1), Term::Var(v2)) if v1 == v2 => true,
@@ -278,7 +387,7 @@ pub fn abs_unify(b: &mut Bindings, t1: &Term, t2: &Term) -> bool {
 /// abstraction of "this term is ground".
 pub fn abs_ground(b: &mut Bindings, t: &Term) {
     match b.walk(t).clone() {
-        Term::Var(v) => b.bind(v, atom(GAMMA)),
+        Term::Var(v) => b.bind(v, Term::Atom(syms().gamma)),
         Term::Struct(_, args) => {
             for a in args.iter() {
                 abs_ground(b, a);
@@ -410,8 +519,8 @@ fn between(b: &Bindings, a: &[Term]) -> Result<Vec<Vec<Term>>, EngineError> {
 /// `2^k` rows.
 fn iff(b: &Bindings, a: &[Term]) -> Result<Vec<Vec<Term>>, EngineError> {
     use tablog_domain::IffArg;
-    let tru = atom("true");
-    let fls = atom("false");
+    let tru = Term::Atom(syms().tru);
+    let fls = Term::Atom(syms().fls);
     let mut vals = Vec::with_capacity(a.len());
     for t in a {
         let w = b.walk(t);

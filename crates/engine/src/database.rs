@@ -1,9 +1,10 @@
 //! The clause database: predicates, loading modes, first-argument indexing.
 
+use crate::builtins::{control, Control};
 use crate::error::EngineError;
 use std::collections::HashMap;
 use tablog_syntax::{Program, ReadClause};
-use tablog_term::{intern, sym_name, Functor, Sym, Term};
+use tablog_term::{intern, sym_name, FastMap, Functor, Sym, Term};
 
 /// How clauses are prepared for evaluation — the paper's central
 /// preprocessing trade-off (Section 4).
@@ -69,7 +70,7 @@ fn index_key(t: &Term) -> Option<IndexKey> {
 
 /// `key -> clause indices`, plus the list of clauses with variable
 /// first argument (which match any key).
-type ClauseIndex = (HashMap<IndexKey, Vec<usize>>, Vec<usize>);
+type ClauseIndex = (FastMap<IndexKey, Vec<usize>>, Vec<usize>);
 
 #[derive(Clone, Debug, Default)]
 struct Predicate {
@@ -84,7 +85,9 @@ struct Predicate {
 /// with [`Database::assert_clause`] (the engine's `assert`).
 #[derive(Clone, Debug, Default)]
 pub struct Database {
-    preds: HashMap<Functor, Predicate>,
+    /// Probed on every dispatched goal, so keyed with the multiplicative
+    /// hasher rather than SipHash.
+    preds: FastMap<Functor, Predicate>,
     mode: LoadMode,
 }
 
@@ -92,7 +95,7 @@ impl Database {
     /// Creates an empty database with the given load mode.
     pub fn new(mode: LoadMode) -> Self {
         Database {
-            preds: HashMap::new(),
+            preds: FastMap::default(),
             mode,
         }
     }
@@ -217,7 +220,7 @@ impl Database {
     /// variable-headed clause), so lookup never sorts or allocates.
     pub fn build_indexes(&mut self) {
         for pred in self.preds.values_mut() {
-            let mut index: HashMap<IndexKey, Vec<usize>> = HashMap::new();
+            let mut index: FastMap<IndexKey, Vec<usize>> = FastMap::default();
             let mut var_clauses = Vec::new();
             for (i, c) in pred.clauses.iter().enumerate() {
                 match c.head.args().first().and_then(index_key) {
@@ -385,16 +388,15 @@ impl Database {
 /// constructs `solve_goal` interprets structurally.
 fn collect_called(g: &Term, out: &mut Vec<Functor>) {
     let Some(f) = g.functor() else { return };
-    let name = sym_name(f.name);
-    match (name.as_str(), f.arity) {
-        (",", 2) | (";", 2) | ("->", 2) => {
+    match control(f) {
+        Some(Control::Conj | Control::Disj | Control::IfThen) => {
             for a in g.args() {
                 collect_called(a, out);
             }
         }
-        ("\\+", 1) | ("not", 1) | ("call", 1) => collect_called(&g.args()[0], out),
-        ("!", 0) | ("true", 0) => {}
-        _ => out.push(f),
+        Some(Control::Not | Control::Call) => collect_called(&g.args()[0], out),
+        Some(Control::True) => {}
+        None => out.push(f),
     }
 }
 

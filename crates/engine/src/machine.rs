@@ -24,7 +24,7 @@
 //! subcomputations) lives in `consumers.rs`.
 
 use crate::budget::{HealthConfig, Truncation, TruncationReason};
-use crate::builtins::lookup_builtin;
+use crate::builtins::{control, lookup_builtin, syms, Control};
 use crate::database::Database;
 use crate::error::EngineError;
 use crate::options::{EngineOptions, Unknown};
@@ -33,9 +33,9 @@ use crate::provenance::{ClauseRef, NodeProv};
 use crate::scheduler::{make_scheduler, Scheduler, TaskClass};
 use crate::session::Evaluation;
 use crate::table::{SubgoalState, TableStats};
-use std::collections::{HashMap, HashSet};
 use tablog_term::{
-    sym_name, unify, unify_occurs, Bindings, CanonicalTerm, Functor, Term, TermArena, TermId, Var,
+    unify, unify_occurs, Bindings, CanonicalTerm, FastMap, FastSet, Functor, Term, TermArena,
+    TermId, Var,
 };
 use tablog_trace::{
     now_ns, CounterSample, HealthSnapshot, SpanEmitter, StallWatchdog, TraceEvent, TraceSink,
@@ -85,7 +85,7 @@ pub(crate) struct Machine<'e> {
     pub(crate) subgoals: Vec<SubgoalState>,
     /// Subgoal lookup keyed by the call's arena id: a hash probe on a
     /// 12-byte key with O(1) equality, never a structural term walk.
-    pub(crate) lookup: HashMap<(Functor, TermId), usize>,
+    pub(crate) lookup: FastMap<(Functor, TermId), usize>,
     pub(crate) consumers: Vec<Consumer>,
     /// The worklist, behind the strategy selected by
     /// [`EngineOptions::scheduling`].
@@ -97,7 +97,7 @@ pub(crate) struct Machine<'e> {
     /// enumerative literals otherwise cause. Keys are arena ids — no
     /// canonical-term copies are stored. Membership is checked *before*
     /// the scheduler sees the task, so it is strategy-independent.
-    pub(crate) seen_nodes: HashSet<(usize, usize, TermId)>,
+    pub(crate) seen_nodes: FastSet<(usize, usize, TermId)>,
     pub(crate) stats: TableStats,
     /// Event observer, `None` unless `EngineOptions::trace` is set. Events
     /// are only constructed under `if let Some(..)`, so the disabled path
@@ -162,10 +162,10 @@ impl<'e> Machine<'e> {
             opts,
             arena: TermArena::new(),
             subgoals: Vec::new(),
-            lookup: HashMap::new(),
+            lookup: FastMap::default(),
             consumers: Vec::new(),
             scheduler: make_scheduler(opts.scheduling),
-            seen_nodes: HashSet::new(),
+            seen_nodes: FastSet::default(),
             stats: TableStats::default(),
             trace: opts.trace.as_deref(),
             spans: (opts.record_spans && opts.trace.is_some())
@@ -636,41 +636,50 @@ impl<'e> Machine<'e> {
         b: &mut Bindings,
         prov: Option<Box<NodeProv>>,
     ) -> Result<(), EngineError> {
-        let g = b.resolve(g);
+        // `expand` hands over a freshly instantiated node: `b` holds fresh
+        // variables but no bindings yet, so `g` is already resolved.
+        debug_assert_eq!(b.mark(), Bindings::new().mark(), "goal under bindings");
         let f = match g.functor() {
             Some(f) => f,
             None => return Err(EngineError::BadGoal(format!("{g}"))),
         };
-        let name = sym_name(f.name);
         let args = g.args();
-        match (name.as_str(), f.arity) {
-            (",", 2) => {
+        let Some(ctl) = control(f) else {
+            if let Some(imp) = lookup_builtin(f) {
+                return self.solve_builtin(imp, sid, split, template, g, rest, b, prov);
+            }
+            if !self.db.is_defined(f) {
+                return match self.opts.unknown {
+                    Unknown::Fail => Ok(()),
+                    Unknown::Error => Err(EngineError::UnknownPredicate(f)),
+                };
+            }
+            return if self.db.is_tabled(f) {
+                self.solve_tabled(f, sid, split, template, g, rest, b, prov)
+            } else {
+                self.solve_sld(f, sid, split, template, g, rest, b, prov)
+            };
+        };
+        match ctl {
+            Control::Conj | Control::IfThen => {
                 let mut goals = vec![args[0].clone(), args[1].clone()];
                 goals.extend_from_slice(rest);
                 let n = self.make_node(sid, split, b, template, &goals, prov);
                 self.push(Task::Expand(n));
-                Ok(())
             }
-            (";", 2) => {
+            Control::Disj => {
                 // (C -> T ; E) gets soft if-then-else semantics:
                 // (C, T) or (\+ C, E).
-                let (left, right): (Vec<Term>, Vec<Term>) = if let Term::Struct(s, ite) = &args[0] {
-                    if sym_name(*s) == "->" && ite.len() == 2 {
-                        (
-                            vec![ite[0].clone(), ite[1].clone()],
-                            vec![
-                                Term::Struct(
-                                    tablog_term::intern("\\+"),
-                                    vec![ite[0].clone()].into(),
-                                ),
-                                args[1].clone(),
-                            ],
-                        )
-                    } else {
-                        (vec![args[0].clone()], vec![args[1].clone()])
-                    }
-                } else {
-                    (vec![args[0].clone()], vec![args[1].clone()])
+                let syms = syms();
+                let (left, right): (Vec<Term>, Vec<Term>) = match &args[0] {
+                    Term::Struct(s, ite) if *s == syms.arrow && ite.len() == 2 => (
+                        vec![ite[0].clone(), ite[1].clone()],
+                        vec![
+                            Term::Struct(syms.naf, vec![ite[0].clone()].into()),
+                            args[1].clone(),
+                        ],
+                    ),
+                    _ => (vec![args[0].clone()], vec![args[1].clone()]),
                 };
                 for branch in [left, right] {
                     let mut goals = branch;
@@ -678,16 +687,8 @@ impl<'e> Machine<'e> {
                     let n = self.make_node(sid, split, b, template, &goals, prov.clone());
                     self.push(Task::Expand(n));
                 }
-                Ok(())
             }
-            ("->", 2) => {
-                let mut goals = vec![args[0].clone(), args[1].clone()];
-                goals.extend_from_slice(rest);
-                let n = self.make_node(sid, split, b, template, &goals, prov);
-                self.push(Task::Expand(n));
-                Ok(())
-            }
-            ("\\+", 1) | ("not", 1) => {
+            Control::Not => {
                 let fails = !self.provable(&args[0], b)?;
                 // A truncated subcomputation cannot witness failure: its
                 // empty answer set proves nothing, so the continuation must
@@ -696,39 +697,21 @@ impl<'e> Machine<'e> {
                     let n = self.make_node(sid, split, b, template, rest, prov);
                     self.push(Task::Expand(n));
                 }
-                Ok(())
             }
             // Cut is approximated by `true`: sound (a superset of solutions)
             // for the minimal-model analyses this engine serves; see README.
-            ("!", 0) | ("true", 0) => {
+            Control::True => {
                 let n = self.make_node(sid, split, b, template, rest, prov);
                 self.push(Task::Expand(n));
-                Ok(())
             }
-            ("call", 1) => {
+            Control::Call => {
                 let mut goals = vec![args[0].clone()];
                 goals.extend_from_slice(rest);
                 let n = self.make_node(sid, split, b, template, &goals, prov);
                 self.push(Task::Expand(n));
-                Ok(())
-            }
-            _ => {
-                if let Some(imp) = lookup_builtin(f) {
-                    return self.solve_builtin(imp, sid, split, template, &g, rest, b, prov);
-                }
-                if !self.db.is_defined(f) {
-                    return match self.opts.unknown {
-                        Unknown::Fail => Ok(()),
-                        Unknown::Error => Err(EngineError::UnknownPredicate(f)),
-                    };
-                }
-                if self.db.is_tabled(f) {
-                    self.solve_tabled(f, sid, split, template, &g, rest, b, prov)
-                } else {
-                    self.solve_sld(f, sid, split, template, &g, rest, b, prov)
-                }
             }
         }
+        Ok(())
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -912,12 +895,10 @@ impl<'e> Machine<'e> {
 }
 
 pub(crate) fn flatten_conj(t: &Term, out: &mut Vec<Term>) {
-    if let Term::Struct(s, args) = t {
-        if args.len() == 2 && sym_name(*s) == "," {
-            flatten_conj(&args[0], out);
-            flatten_conj(&args[1], out);
-            return;
-        }
+    if t.functor().and_then(control) == Some(Control::Conj) {
+        flatten_conj(&t.args()[0], out);
+        flatten_conj(&t.args()[1], out);
+        return;
     }
     out.push(t.clone());
 }

@@ -11,8 +11,7 @@
 //! the owning arena.
 
 use crate::provenance::AnswerProv;
-use std::collections::HashSet;
-use tablog_term::{CanonicalTerm, Functor, Term, TermArena, TermId};
+use tablog_term::{CanonicalTerm, FastSet, Functor, Term, TermArena, TermId};
 
 /// Per-entry overhead added to each stored call or answer term, mirroring
 /// what XSB's statistics report counts: the term plus a fixed table-node
@@ -65,7 +64,7 @@ pub(crate) struct SubgoalState {
     /// Duplicate check: arena ids of the entered answers. Holds 8-byte ids,
     /// not full term copies — the seed's `HashSet<CanonicalTerm>` double
     /// store is gone.
-    pub answer_ids: HashSet<TermId>,
+    pub answer_ids: FastSet<TermId>,
     /// Per-answer provenance, parallel to `answers`. Empty (no allocation)
     /// unless the evaluation ran with
     /// [`record_provenance`](crate::EngineOptions::record_provenance).
@@ -79,7 +78,7 @@ pub(crate) struct SubgoalState {
     /// Arena nodes already charged to this table's space: within one
     /// subgoal, structure shared between the call and any answers is billed
     /// exactly once (substitution factoring).
-    charged: HashSet<TermId>,
+    charged: FastSet<TermId>,
     /// Incrementally maintained table space, decomposed by component
     /// (terms / entry overhead / provenance); the attributed sum is kept
     /// equal to [`SubgoalState::rescan_bytes`] by construction.
@@ -91,7 +90,7 @@ impl SubgoalState {
     /// Creates the state and charges the call term plus its entry overhead.
     /// `arena` is the session arena that minted `call`.
     pub(crate) fn new(functor: Functor, call: CanonicalTerm, arena: &TermArena) -> Self {
-        let mut charged = HashSet::new();
+        let mut charged = FastSet::default();
         let bytes = TableBytes {
             term_bytes: arena.charge_shared_bytes(&call, &mut charged),
             entry_bytes: NODE_OVERHEAD,
@@ -102,7 +101,7 @@ impl SubgoalState {
             functor,
             call,
             answers: Vec::new(),
-            answer_ids: HashSet::new(),
+            answer_ids: FastSet::default(),
             provenance: Vec::new(),
             consumers: Vec::new(),
             remote_consumers: Vec::new(),
@@ -149,7 +148,7 @@ impl SubgoalState {
     /// answers in insertion order, each with entry overhead, plus provenance
     /// records. Must agree with the incremental [`SubgoalState::table_bytes`].
     pub(crate) fn rescan_bytes(&self, arena: &TermArena) -> usize {
-        let mut seen = HashSet::new();
+        let mut seen = FastSet::default();
         let mut total = arena.charge_shared_bytes(&self.call, &mut seen) + NODE_OVERHEAD;
         for a in &self.answers {
             total += arena.charge_shared_bytes(a, &mut seen) + NODE_OVERHEAD;

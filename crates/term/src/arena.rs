@@ -18,9 +18,25 @@
 //!   traces and benchmark keys, so it must not depend on `RandomState`),
 //! * its **tree bytes** — the footprint an unshared copy would occupy,
 //!   matching [`Term::heap_bytes`], used by the table-space accounting,
-//! * whether it is **ground**, and
-//! * a materialized [`Term`] for the node, so converting back to ordinary
-//!   terms is a handful of `Arc` clones rather than a rebuild.
+//! * its **height** — the nesting depth of compound structure, so depth-k
+//!   truncation can tell in O(1) that a tuple needs no cut, and
+//! * for *ground* nodes only, a materialized [`Term`] — which doubles as
+//!   the groundness flag — so instantiating a ground subterm is one `Arc`
+//!   clone. Non-ground nodes are rebuilt on demand
+//!   ([`TermArena::instantiate`], [`TermArena::terms`]); their variables
+//!   are renamed on every instantiation anyway, so a cached copy would only
+//!   cost an allocation per interned node.
+//!
+//! The hash-cons index maps a structural hash to the newest node with that
+//! hash; older nodes with the same hash are chained through a `next` link
+//! stored in the node itself, so a bucket costs no allocation. The index's
+//! key is already a splitmix hash, so the map hashes it with the
+//! pass-through [`PassThroughHasher`]. Interning *probes before it
+//! allocates*: the probe hashes and compares a borrowed shape (symbol plus
+//! a slice of child ids), and a boxed node is built only on a miss. Child
+//! and tuple ids are collected in reusable scratch buffers, and free
+//! variables are numbered by scanning a short vector, so canonicalizing a
+//! resolvent whose subterms are all interned already allocates nothing.
 //!
 //! Arenas are *session-scoped*: each engine run owns a [`TermArena`], so the
 //! interned forest is dropped with the session instead of accumulating for
@@ -33,9 +49,11 @@
 //! [`crate::canonical_key`], …) for callers that don't carry a session.
 
 use crate::bindings::Bindings;
+use crate::hashing::{FastMap, PassThroughHasher};
 use crate::symbol::Sym;
 use crate::term::{Term, Var};
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, BuildHasherDefault};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
@@ -53,7 +71,7 @@ impl TermId {
 }
 
 /// The shape of an interned node. Children are ids, never inline terms.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 enum NodeKind {
     /// Canonical variable `_n` (first-occurrence numbering).
     Var(u32),
@@ -68,6 +86,44 @@ enum NodeKind {
     Tuple(Box<[TermId]>),
 }
 
+/// A borrowed [`NodeKind`]: what interning hashes and compares, so a probe
+/// that hits allocates nothing.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Shape<'a> {
+    Var(u32),
+    Atom(Sym),
+    Int(i64),
+    Struct(Sym, &'a [TermId]),
+    Tuple(&'a [TermId]),
+}
+
+impl NodeKind {
+    fn shape(&self) -> Shape<'_> {
+        match self {
+            NodeKind::Var(n) => Shape::Var(*n),
+            NodeKind::Atom(s) => Shape::Atom(*s),
+            NodeKind::Int(i) => Shape::Int(*i),
+            NodeKind::Struct(s, kids) => Shape::Struct(*s, kids),
+            NodeKind::Tuple(kids) => Shape::Tuple(kids),
+        }
+    }
+}
+
+impl Shape<'_> {
+    fn to_kind(self) -> NodeKind {
+        match self {
+            Shape::Var(n) => NodeKind::Var(n),
+            Shape::Atom(s) => NodeKind::Atom(s),
+            Shape::Int(i) => NodeKind::Int(i),
+            Shape::Struct(s, kids) => NodeKind::Struct(s, kids.into()),
+            Shape::Tuple(kids) => NodeKind::Tuple(kids.into()),
+        }
+    }
+}
+
+/// End of a hash chain.
+const NIL: u32 = u32::MAX;
+
 #[derive(Clone)]
 struct Node {
     kind: NodeKind,
@@ -76,10 +132,13 @@ struct Node {
     /// Bytes an *unshared* copy of this subtree would occupy; matches
     /// [`Term::heap_bytes`] so accounting is comparable across PRs.
     tree_bytes: usize,
-    /// `true` if no variable occurs below this node.
-    ground: bool,
-    /// Materialized term with canonical variable numbering. `None` only for
-    /// `Tuple` nodes, which have no single-term reading.
+    /// Nesting depth of compound structure: 0 for a variable or constant,
+    /// 1 + the tallest child for a struct, the tallest member for a tuple.
+    height: u32,
+    /// The next-older node with the same hash, or [`NIL`].
+    next: u32,
+    /// Materialized term, cached exactly for the ground non-tuple nodes:
+    /// `Some` iff no variable occurs below this (non-tuple) node.
     term: Option<Term>,
 }
 
@@ -93,12 +152,65 @@ pub struct ArenaStats {
     pub interned_bytes: usize,
 }
 
+/// Number of free variables numbered by a linear scan before
+/// [`Scratch::var_index`] takes over.
+const VAR_SCAN_LIMIT: usize = 32;
+
+/// Reusable buffers of one canonicalization; emptied, never freed, between
+/// calls.
+#[derive(Clone, Default)]
+struct Scratch {
+    /// Free variables in first-occurrence order: a variable's position is
+    /// its canonical number.
+    vars: Vec<Var>,
+    /// Index over `vars`, filled only once it outgrows a linear scan.
+    var_index: FastMap<Var, u32>,
+    /// Stack of child ids: each struct pushes its children above the
+    /// current top and pops them once interned; the tuple's member ids
+    /// accumulate at the bottom.
+    kids: Vec<TermId>,
+}
+
+impl Scratch {
+    fn clear(&mut self) {
+        self.vars.clear();
+        self.var_index.clear();
+        self.kids.clear();
+    }
+
+    /// The canonical number of free variable `v`, assigning the next one on
+    /// its first occurrence.
+    fn number(&mut self, v: Var) -> u32 {
+        let seen = if self.vars.len() <= VAR_SCAN_LIMIT {
+            self.vars.iter().position(|&w| w == v).map(|i| i as u32)
+        } else {
+            self.var_index.get(&v).copied()
+        };
+        if let Some(n) = seen {
+            return n;
+        }
+        let n = self.vars.len() as u32;
+        self.vars.push(v);
+        if self.vars.len() > VAR_SCAN_LIMIT {
+            if self.var_index.is_empty() {
+                let all = self.vars.iter().enumerate();
+                self.var_index.extend(all.map(|(i, &w)| (w, i as u32)));
+            } else {
+                self.var_index.insert(v, n);
+            }
+        }
+        n
+    }
+}
+
 #[derive(Clone, Default)]
 struct Arena {
     nodes: Vec<Node>,
-    /// Hash-cons index: structural hash → candidate ids. Collisions are
-    /// resolved by a shallow `NodeKind` comparison (children by id).
-    buckets: HashMap<u64, Vec<u32>>,
+    /// Hash-cons index: structural hash → newest node with that hash; the
+    /// rest of the bucket is chained through [`Node::next`]. Collisions are
+    /// resolved by a shallow shape comparison (children by id).
+    heads: HashMap<u64, u32, BuildHasherDefault<PassThroughHasher>>,
+    scratch: Scratch,
 }
 
 /// Arena id of the process-wide shared arena backing the free functions.
@@ -140,22 +252,22 @@ impl Arena {
         &self.nodes[id.index()]
     }
 
-    fn hash_kind(&self, kind: &NodeKind) -> u64 {
-        match kind {
-            NodeKind::Var(n) => combine(1, u64::from(*n)),
-            NodeKind::Atom(s) => combine(2, s.index() as u64),
-            NodeKind::Int(i) => combine(3, *i as u64),
-            NodeKind::Struct(s, kids) => {
+    fn hash_shape(&self, shape: Shape<'_>) -> u64 {
+        match shape {
+            Shape::Var(n) => combine(1, u64::from(n)),
+            Shape::Atom(s) => combine(2, s.index() as u64),
+            Shape::Int(i) => combine(3, i as u64),
+            Shape::Struct(s, kids) => {
                 let mut h = combine(4, s.index() as u64);
                 h = combine(h, kids.len() as u64);
-                for k in kids.iter() {
+                for k in kids {
                     h = combine(h, self.node(*k).hash);
                 }
                 h
             }
-            NodeKind::Tuple(kids) => {
+            Shape::Tuple(kids) => {
                 let mut h = combine(5, kids.len() as u64);
-                for k in kids.iter() {
+                for k in kids {
                     h = combine(h, self.node(*k).hash);
                 }
                 h
@@ -163,72 +275,90 @@ impl Arena {
         }
     }
 
-    fn intern(&mut self, kind: NodeKind) -> TermId {
-        let hash = self.hash_kind(&kind);
-        if let Some(bucket) = self.buckets.get(&hash) {
-            for &i in bucket {
-                if self.nodes[i as usize].kind == kind {
-                    return TermId(i);
-                }
+    /// Returns the id of `shape`, creating the node only if the probe
+    /// misses.
+    fn intern(&mut self, shape: Shape<'_>) -> TermId {
+        let hash = self.hash_shape(shape);
+        let head = self.heads.get(&hash).copied().unwrap_or(NIL);
+        let mut i = head;
+        while i != NIL {
+            let n = &self.nodes[i as usize];
+            if n.kind.shape() == shape {
+                return TermId(i);
             }
+            i = n.next;
         }
-        let (tree_bytes, ground, term) = match &kind {
-            NodeKind::Var(n) => (node_bytes(), false, Some(Term::Var(Var(*n)))),
-            NodeKind::Atom(s) => (node_bytes(), true, Some(Term::Atom(*s))),
-            NodeKind::Int(i) => (node_bytes(), true, Some(Term::Int(*i))),
-            NodeKind::Struct(s, kids) => {
-                let mut bytes = node_bytes();
-                let mut ground = true;
-                let mut args = Vec::with_capacity(kids.len());
-                for k in kids.iter() {
-                    let n = self.node(*k);
-                    bytes += n.tree_bytes;
-                    ground &= n.ground;
-                    args.push(n.term.clone().expect("tuple node nested under struct"));
-                }
-                (bytes, ground, Some(Term::Struct(*s, args.into())))
+        let (tree_bytes, height, term) = match shape {
+            Shape::Var(_) => (node_bytes(), 0, None),
+            Shape::Atom(s) => (node_bytes(), 0, Some(Term::Atom(s))),
+            Shape::Int(i) => (node_bytes(), 0, Some(Term::Int(i))),
+            Shape::Struct(s, kids) => {
+                let (bytes, ground, height) = self.summarize(kids);
+                let term = ground.then(|| {
+                    let args = kids.iter().map(|&k| {
+                        self.node(k)
+                            .term
+                            .clone()
+                            .expect("ground non-tuple node has a term")
+                    });
+                    Term::Struct(s, args.collect())
+                });
+                (node_bytes() + bytes, height + 1, term)
             }
-            NodeKind::Tuple(kids) => {
-                // The tuple wrapper itself is free: the seed accounting
-                // summed the member terms' heap bytes with no container cost.
-                let mut bytes = 0;
-                let mut ground = true;
-                for k in kids.iter() {
-                    let n = self.node(*k);
-                    bytes += n.tree_bytes;
-                    ground &= n.ground;
-                }
-                (bytes, ground, None)
+            // The tuple wrapper itself is free: the seed accounting summed
+            // the member terms' heap bytes with no container cost.
+            Shape::Tuple(kids) => {
+                let (bytes, _, height) = self.summarize(kids);
+                (bytes, height, None)
             }
         };
         let id = self.nodes.len() as u32;
         self.nodes.push(Node {
-            kind,
+            kind: shape.to_kind(),
             hash,
             tree_bytes,
-            ground,
+            height,
+            next: head,
             term,
         });
-        self.buckets.entry(hash).or_default().push(id);
+        self.heads.insert(hash, id);
         TermId(id)
     }
 
+    /// Summed tree bytes, conjoined groundness and maximum height of `kids`.
+    fn summarize(&self, kids: &[TermId]) -> (usize, bool, u32) {
+        kids.iter()
+            .fold((0, true, 0), |(bytes, ground, height), &k| {
+                let n = self.node(k);
+                (
+                    bytes + n.tree_bytes,
+                    ground && n.term.is_some(),
+                    height.max(n.height),
+                )
+            })
+    }
+
     /// Interns the canonical form of `t` as seen through `b`, numbering free
-    /// variables in first-occurrence order via `map`. No intermediate `Term`
-    /// is allocated: the walk resolves bindings and interns bottom-up.
-    fn canon(&mut self, b: &Bindings, t: &Term, map: &mut HashMap<Var, u32>) -> TermId {
-        let w = b.walk(t);
-        match w {
+    /// variables in first-occurrence order. No intermediate `Term` is
+    /// allocated: the walk resolves bindings and interns bottom-up, with
+    /// children collected on `sc.kids`.
+    fn canon(&mut self, b: &Bindings, t: &Term, sc: &mut Scratch) -> TermId {
+        match b.walk(t) {
             Term::Var(v) => {
-                let next = map.len() as u32;
-                let n = *map.entry(*v).or_insert(next);
-                self.intern(NodeKind::Var(n))
+                let n = sc.number(*v);
+                self.intern(Shape::Var(n))
             }
-            Term::Atom(s) => self.intern(NodeKind::Atom(*s)),
-            Term::Int(i) => self.intern(NodeKind::Int(*i)),
+            Term::Atom(s) => self.intern(Shape::Atom(*s)),
+            Term::Int(i) => self.intern(Shape::Int(*i)),
             Term::Struct(s, args) => {
-                let kids: Vec<TermId> = args.iter().map(|x| self.canon(b, x, map)).collect();
-                self.intern(NodeKind::Struct(*s, kids.into()))
+                let base = sc.kids.len();
+                for a in args.iter() {
+                    let id = self.canon(b, a, sc);
+                    sc.kids.push(id);
+                }
+                let id = self.intern(Shape::Struct(*s, &sc.kids[base..]));
+                sc.kids.truncate(base);
+                id
             }
         }
     }
@@ -237,20 +367,17 @@ impl Arena {
     /// reusing cached ground subterms wholesale.
     fn instantiate_node(&self, id: TermId, base: u32) -> Term {
         let n = self.node(id);
-        if n.ground {
-            return n.term.clone().expect("ground non-tuple node has a term");
+        if let Some(t) = &n.term {
+            return t.clone();
         }
         match &n.kind {
             NodeKind::Var(k) => Term::Var(Var(base + *k)),
             NodeKind::Struct(s, kids) => {
-                let args: Vec<Term> = kids
-                    .iter()
-                    .map(|&k| self.instantiate_node(k, base))
-                    .collect();
-                Term::Struct(*s, args.into())
+                let args = kids.iter().map(|&k| self.instantiate_node(k, base));
+                Term::Struct(*s, args.collect())
             }
-            // Atom/Int are ground (handled above); tuples never nest.
-            _ => unreachable!("non-ground leaf in arena"),
+            // Atom/Int are ground (cached above); tuples never nest.
+            _ => unreachable!("uncached leaf in arena"),
         }
     }
 
@@ -261,15 +388,12 @@ impl Arena {
         }
     }
 
+    /// The canonical member terms: cached ground members are cloned,
+    /// non-ground ones rebuilt with their canonical variable numbers.
     fn tuple_terms(&self, root: TermId) -> Vec<Term> {
         self.tuple_children(root)
             .iter()
-            .map(|&k| {
-                self.node(k)
-                    .term
-                    .clone()
-                    .expect("tuple members are non-tuple nodes")
-            })
+            .map(|&k| self.instantiate_node(k, 0))
             .collect()
     }
 
@@ -281,7 +405,7 @@ impl Arena {
             .collect()
     }
 
-    fn charge(&self, id: TermId, seen: &mut HashSet<TermId>) -> usize {
+    fn charge<S: BuildHasher>(&self, id: TermId, seen: &mut HashSet<TermId, S>) -> usize {
         if !seen.insert(id) {
             return 0;
         }
@@ -319,31 +443,23 @@ impl Arena {
         }
     }
 
-    fn canonicalize(&mut self, arena_id: u32, b: &Bindings, ts: &[Term]) -> CanonicalTerm {
-        let mut map: HashMap<Var, u32> = HashMap::new();
-        let ids: Vec<TermId> = ts.iter().map(|t| self.canon(b, t, &mut map)).collect();
-        self.finish(arena_id, ids, map.len() as u32)
-    }
-
-    fn canonicalize2(
+    /// Canonicalizes the tuple `ts` (one shared variable numbering) and
+    /// interns its root.
+    fn canonicalize<'t>(
         &mut self,
         arena_id: u32,
         b: &Bindings,
-        xs: &[Term],
-        ys: &[Term],
+        ts: impl IntoIterator<Item = &'t Term>,
     ) -> CanonicalTerm {
-        let mut map: HashMap<Var, u32> = HashMap::new();
-        let ids: Vec<TermId> = xs
-            .iter()
-            .chain(ys.iter())
-            .map(|t| self.canon(b, t, &mut map))
-            .collect();
-        self.finish(arena_id, ids, map.len() as u32)
-    }
-
-    /// Interns a tuple of already-canonicalized member ids, returns the root.
-    fn finish(&mut self, arena_id: u32, ids: Vec<TermId>, nvars: u32) -> CanonicalTerm {
-        let root = self.intern(NodeKind::Tuple(ids.into()));
+        let mut sc = std::mem::take(&mut self.scratch);
+        sc.clear();
+        for t in ts {
+            let id = self.canon(b, t, &mut sc);
+            sc.kids.push(id);
+        }
+        let nvars = sc.vars.len() as u32;
+        let root = self.intern(Shape::Tuple(&sc.kids));
+        self.scratch = sc;
         let hash = self.node(root).hash;
         CanonicalTerm::from_parts(root, nvars, hash, arena_id)
     }
@@ -416,7 +532,7 @@ impl TermArena {
     /// Canonicalizes the concatenation of two tuples without allocating the
     /// concatenated slice; see [`crate::canonicalize2`].
     pub fn canonicalize2(&mut self, b: &Bindings, xs: &[Term], ys: &[Term]) -> CanonicalTerm {
-        self.inner.canonicalize2(self.id, b, xs, ys)
+        self.inner.canonicalize(self.id, b, xs.iter().chain(ys))
     }
 
     /// Canonicalizes a single already-resolved term.
@@ -431,7 +547,8 @@ impl TermArena {
         self.inner.tuple_children(c.root_id()).len()
     }
 
-    /// The canonicalized terms of `c`, materialized from cached subterms.
+    /// The canonicalized terms of `c`: ground members come from the cache,
+    /// the rest are rebuilt with canonical variable numbers.
     pub fn terms(&self, c: &CanonicalTerm) -> Vec<Term> {
         self.check(c);
         self.inner.tuple_terms(c.root_id())
@@ -468,9 +585,22 @@ impl TermArena {
     /// accounting: within one `seen` scope (a subgoal's table), shared
     /// structure is charged exactly once, at [`Term::heap_bytes`]'s
     /// per-node rate.
-    pub fn charge_shared_bytes(&self, c: &CanonicalTerm, seen: &mut HashSet<TermId>) -> usize {
+    pub fn charge_shared_bytes<S: BuildHasher>(
+        &self,
+        c: &CanonicalTerm,
+        seen: &mut HashSet<TermId, S>,
+    ) -> usize {
         self.check(c);
         self.inner.charge(c.root_id(), seen)
+    }
+
+    /// Struct height of `c`'s tallest member: 0 when every member is a
+    /// variable or constant, 1 for `f(a, X)`, 2 for `f(g(a))`. Cached at
+    /// intern time, so O(1). Depth-k truncation at `k` leaves a tuple of
+    /// height ≤ `k` unchanged.
+    pub fn height(&self, c: &CanonicalTerm) -> usize {
+        self.check(c);
+        self.inner.node(c.root_id()).height as usize
     }
 
     /// Snapshot of this arena's counters.
@@ -492,7 +622,7 @@ pub(crate) fn canonicalize_in(b: &Bindings, ts: &[Term]) -> CanonicalTerm {
 }
 
 pub(crate) fn canonicalize2_in(b: &Bindings, xs: &[Term], ys: &[Term]) -> CanonicalTerm {
-    with_global(|a| a.canonicalize2(GLOBAL_ARENA_ID, b, xs, ys))
+    with_global(|a| a.canonicalize(GLOBAL_ARENA_ID, b, xs.iter().chain(ys)))
 }
 
 #[inline]
@@ -528,7 +658,10 @@ pub(crate) fn tree_bytes(c: &CanonicalTerm) -> usize {
 /// Charges the bytes of every node reachable from `c` that is not already in
 /// `seen`, against the process-wide shared arena. Engine tables use
 /// [`TermArena::charge_shared_bytes`] on their session arena instead.
-pub fn charge_shared_bytes(c: &CanonicalTerm, seen: &mut HashSet<TermId>) -> usize {
+pub fn charge_shared_bytes<S: BuildHasher>(
+    c: &CanonicalTerm,
+    seen: &mut HashSet<TermId, S>,
+) -> usize {
     check_global(c);
     with_global(|a| a.charge(c.root_id(), seen))
 }
@@ -627,9 +760,21 @@ mod tests {
         assert_eq!(a.charge_shared_bytes(&c, &mut seen), t.heap_bytes());
     }
 
+    /// `true` if the shared arena holds a node headed by `sym`. Other tests
+    /// of this binary intern into the shared arena concurrently, so its
+    /// counters cannot be compared before and after; a probe symbol no other
+    /// test uses can be checked exactly.
+    fn shared_arena_mentions(sym: Sym) -> bool {
+        with_global(|a| {
+            a.nodes.iter().any(|n| match n.kind {
+                NodeKind::Atom(s) | NodeKind::Struct(s, _) => s == sym,
+                _ => false,
+            })
+        })
+    }
+
     #[test]
     fn session_arenas_are_independent_and_do_not_touch_the_shared_arena() {
-        let global_before = arena_stats();
         let mut a1 = TermArena::new();
         let mut a2 = TermArena::new();
         let t = structure("session_probe", vec![int(1), int(2)]);
@@ -640,21 +785,30 @@ mod tests {
         assert_eq!(c1.root_id(), c2.root_id());
         assert!(a1.stats().nodes > 0);
         // Session interning leaves the shared arena untouched.
-        assert_eq!(arena_stats(), global_before);
+        assert!(!shared_arena_mentions(crate::symbol::intern(
+            "session_probe"
+        )));
     }
 
     #[test]
     fn dropping_a_session_arena_releases_its_forest() {
-        let global_before = arena_stats();
+        let probe = structure("leak_probe", vec![atom("leak_probe_leaf"), int(7)]);
+        let mut first = None;
         for _ in 0..8 {
             let mut a = TermArena::new();
-            let c = a.canonical_key(&structure("leak_probe", vec![atom("x"), int(7)]));
+            let c = a.canonical_key(&probe);
             assert!(a.stats().interned_bytes > 0);
             let mut b = Bindings::new();
             assert_eq!(a.instantiate(&c, &mut b).len(), 1);
+            // Every session starts from an empty forest: nothing carried
+            // over from the arenas dropped before it.
+            let stats = a.stats();
+            assert_eq!(*first.get_or_insert(stats), stats);
             // `a` dropped here: its forest goes with it.
         }
-        assert_eq!(arena_stats(), global_before);
+        for name in ["leak_probe", "leak_probe_leaf"] {
+            assert!(!shared_arena_mentions(crate::symbol::intern(name)));
+        }
     }
 
     #[test]

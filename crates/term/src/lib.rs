@@ -25,6 +25,7 @@
 
 mod arena;
 mod bindings;
+mod hashing;
 mod symbol;
 mod term;
 mod unify;
@@ -32,6 +33,7 @@ mod variant;
 
 pub use arena::{arena_stats, charge_shared_bytes, ArenaStats, TermArena, TermId};
 pub use bindings::{Bindings, TrailMark};
+pub use hashing::{BuildMulHasher, FastMap, FastSet, MulHasher, PassThroughHasher};
 pub use symbol::{intern, sym_name, Sym};
 pub use term::{atom, int, structure, var, Functor, Term, Var};
 pub use unify::{unify, unify_occurs};

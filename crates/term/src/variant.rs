@@ -103,8 +103,8 @@ impl CanonicalTerm {
         self.len() == 0
     }
 
-    /// The canonicalized terms, materialized from the arena's cached
-    /// subterms (a handful of `Arc` clones, not a rebuild).
+    /// The canonicalized terms: ground members are `Arc` clones of the
+    /// arena's cached terms, non-ground ones are rebuilt.
     ///
     /// Shared-arena handles only; session handles go through
     /// [`crate::TermArena::terms`].

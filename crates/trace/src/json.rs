@@ -167,11 +167,16 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar, not one byte.
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Consume the run up to the next quote or escape in one go.
+                // Both are ASCII, so they never split a UTF-8 sequence, and
+                // each byte is validated once: the parse stays linear in
+                // the input however long its strings are.
+                let start = *pos;
+                while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
+                out.push_str(run);
             }
         }
     }
@@ -257,6 +262,19 @@ mod tests {
         let doc = format!("{{\"s\":\"{}\"}}", escape(original));
         let v = parse(&doc).unwrap();
         assert_eq!(v.get("s").unwrap().as_str(), Some(original));
+    }
+
+    #[test]
+    fn multibyte_strings_and_long_runs_parse() {
+        let v = parse("[\"λ-calc ∀x\", \"a\\u00e9b\"]").unwrap();
+        let items = v.as_arr().unwrap();
+        assert_eq!(items[0].as_str(), Some("λ-calc ∀x"));
+        assert_eq!(items[1].as_str(), Some("aéb"));
+        // A long document of long strings parses in one linear pass.
+        let long = "s(".repeat(20_000);
+        let doc = format!("[{}]", vec![format!("\"{long}\""); 50].join(","));
+        let v = parse(&doc).unwrap();
+        assert_eq!(v.as_arr().unwrap()[49].as_str(), Some(long.as_str()));
     }
 
     #[test]

@@ -46,6 +46,7 @@
 //!                                       Prop groundness analysis
 //! tablog depthk FILE.pl [--k N] [--entry SPEC]
 //!                                       depth-k groundness analysis
+//!                                       (k defaults to 1, as in Table 4)
 //! tablog modes  FILE.pl --entry SPEC    mode inference (+ / - / ?)
 //! tablog strict FILE.eq                 strictness analysis
 //! tablog types  FILE.eq                 Hindley-Milner type analysis
@@ -81,7 +82,7 @@ use std::io::{BufWriter, IsTerminal, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tablog_core::depthk::DepthKAnalyzer;
+use tablog_core::depthk::{DepthKAnalyzer, DEFAULT_K};
 use tablog_core::direct::DirectAnalyzer;
 use tablog_core::groundness::{EntryPoint, GroundnessAnalyzer};
 use tablog_core::strictness::StrictnessAnalyzer;
@@ -872,7 +873,7 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
                     let k: usize = flag_value(args, "--k")
                         .map(|v| v.parse().map_err(|_| "bad --k value".to_string()))
                         .transpose()?
-                        .unwrap_or(2);
+                        .unwrap_or(DEFAULT_K);
                     let ex = DepthKAnalyzer::new(k)
                         .explain(&program, goal, depth)
                         .map_err(|e| e.to_string())?;
@@ -1041,7 +1042,7 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
             let k: usize = flag_value(args, "--k")
                 .map(|v| v.parse().map_err(|_| "bad --k value".to_string()))
                 .transpose()?
-                .unwrap_or(2);
+                .unwrap_or(DEFAULT_K);
             let entries: Vec<EntryPoint> = match flag_value(args, "--entry") {
                 Some(spec) => vec![EntryPoint::parse(spec).map_err(|e| e.to_string())?],
                 None => Vec::new(),

@@ -99,6 +99,41 @@ fn depthk_prints_abstract_answers() {
 }
 
 #[test]
+fn depthk_default_k_is_table4_k1() {
+    // At k = 1 the nested structure widens to f(γ); at k = 2 it keeps g(…).
+    let f = temp_file("deep.pl", "deep(f(g(h(a)))).");
+    let file = f.to_str().unwrap();
+    // The analysis output without its final timing line.
+    let depthk = |extra: &[&str]| {
+        let mut args = vec!["depthk", file];
+        args.extend_from_slice(extra);
+        let (out, err, ok) = tablog(&args);
+        assert!(ok, "{err}");
+        out.lines()
+            .filter(|l| !l.starts_with("total="))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let default = depthk(&[]);
+    let k1 = depthk(&["--k", "1"]);
+    let k2 = depthk(&["--k", "2"]);
+    assert_eq!(default, k1);
+    assert_ne!(default, k2, "fixture must tell k = 1 from k = 2");
+    assert!(default.contains("f('$g')"), "{default}");
+
+    let explain = |extra: &[&str]| {
+        let mut args = vec!["explain", file, "deep(X)", "--analysis", "depthk"];
+        args.extend_from_slice(extra);
+        let (out, err, ok) = tablog(&args);
+        assert!(ok, "{err}");
+        out
+    };
+    let default = explain(&[]);
+    assert_eq!(default, explain(&["--k", "1"]));
+    assert_ne!(default, explain(&["--k", "2"]));
+}
+
+#[test]
 fn strict_prints_summaries() {
     let f = temp_file(
         "ap.eq",
