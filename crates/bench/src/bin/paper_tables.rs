@@ -1,8 +1,7 @@
 //! Regenerates every table of the paper in the same row/column layout.
 //!
 //! Usage: `paper_tables [--table N] [--profile] [--json] [--check FILE]
-//! [--jobs N] [--schedulers] [--scheduler parallel] [--threads N]
-//! [--domain bdd]`
+//! [--jobs N] [--schedulers] [--domain bdd]`
 //! (default: all four tables). With
 //! `--profile`, each row is followed by the engine's per-evaluation
 //! counters (subgoals, answers, duplicates, resolutions, and the hook
@@ -18,16 +17,8 @@
 //! are compared. Any divergence fails the process; the speedup is reported
 //! and, under `--json`, recorded in a `"parallel"` object. `--schedulers`
 //! (implied by `--json` with `--jobs`) additionally re-runs the groundness
-//! workload under each worklist scheduling strategy and reports the engine
-//! counters side by side.
-//!
-//! With `--scheduler parallel` (worker count from `--threads N`, default
-//! 4), each groundness query is additionally evaluated under the engine's
-//! intra-query parallel scheduler and compared against the sequential
-//! fixpoint: any answer-set divergence fails the process, and the
-//! per-query `{threads, sequential_us, parallel_us, speedup}` rows are
-//! recorded under `"slg_parallel"` in the `--json` document. `--threads N`
-//! alone implies `--scheduler parallel`.
+//! workload under both worklist scheduling strategies (depth-first and
+//! breadth-first) and reports the engine counters side by side.
 //!
 //! With `--domain bdd`, the Table 1/2 groundness workloads are re-run under
 //! both Prop-domain backends — enumerative truth tables and hash-consed
@@ -41,8 +32,8 @@
 
 use std::process::ExitCode;
 use tablog_bench::{
-    check_against_baseline, host_meta, measure_parallel, ms, parallel_slg_rows, pos_domain_rows,
-    pr9_json, run_suite, scheduler_rows, DomainRow, ParSlgRow, Row, SuiteTables, TABLE4_K,
+    check_against_baseline, host_meta, measure_parallel, ms, pos_domain_rows, pr9_json, run_suite,
+    scheduler_rows, DomainRow, Row, SuiteTables, TABLE4_K,
 };
 
 // With --features track-alloc the binary runs under the tracking global
@@ -90,27 +81,6 @@ fn print_row_table(title: &str, rows: &[Row]) {
 /// The fractional regression tolerance the baseline check allows.
 const TOLERANCE: f64 = 0.20;
 
-/// Worker count `--scheduler parallel` uses when `--threads` is absent.
-const DEFAULT_THREADS: usize = 4;
-
-/// Runs the intra-query parallel-vs-sequential comparison and prints its
-/// verdict. `Err` means at least one query's answer sets diverged — an
-/// engine bug the caller must turn into a nonzero exit.
-fn run_slg_comparison(threads: usize) -> Result<Vec<ParSlgRow>, String> {
-    let rows = parallel_slg_rows(threads);
-    if let Some(bad) = rows.iter().find(|r| !r.identical) {
-        return Err(format!(
-            "parallel SLG answer sets diverged from sequential on {} (--threads {})",
-            bad.program, bad.threads
-        ));
-    }
-    eprintln!(
-        "parallel SLG check passed: {} queries identical at {threads} worker(s)",
-        rows.len()
-    );
-    Ok(rows)
-}
-
 /// Runs the two-backend Prop-domain comparison and prints its verdict.
 /// `Err` means a benchmark's groundness results differed between the table
 /// and BDD backends — a domain-layer bug the caller must turn into a
@@ -152,27 +122,6 @@ fn main() -> ExitCode {
         .iter()
         .position(|a| a == "--check")
         .and_then(|i| args.get(i + 1));
-    let threads: Option<usize> = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0);
-    let scheduler: Option<&String> = args
-        .iter()
-        .position(|a| a == "--scheduler")
-        .and_then(|i| args.get(i + 1));
-    let slg_threads: Option<usize> = match scheduler.map(String::as_str) {
-        Some("parallel") => Some(threads.unwrap_or(DEFAULT_THREADS)),
-        Some(other) => {
-            eprintln!(
-                "paper_tables: --scheduler only supports 'parallel' (got {other}); \
-                 the sequential strategies are already covered by --schedulers"
-            );
-            return ExitCode::FAILURE;
-        }
-        None => threads,
-    };
     let domain: Option<&String> = args
         .iter()
         .position(|a| a == "--domain")
@@ -220,14 +169,6 @@ fn main() -> ExitCode {
         } else {
             Vec::new()
         };
-        let slg = match slg_threads.map(run_slg_comparison) {
-            Some(Ok(rows)) => rows,
-            Some(Err(e)) => {
-                eprintln!("FAIL: {e}");
-                return ExitCode::FAILURE;
-            }
-            None => Vec::new(),
-        };
         let domains = if want_domains {
             match run_domain_comparison() {
                 Ok(rows) => rows,
@@ -239,14 +180,7 @@ fn main() -> ExitCode {
         } else {
             Vec::new()
         };
-        let doc = pr9_json(
-            &tables,
-            &sched,
-            parallel.as_ref(),
-            &host_meta(),
-            &slg,
-            &domains,
-        );
+        let doc = pr9_json(&tables, &sched, parallel.as_ref(), &host_meta(), &domains);
         if json {
             println!("{doc}");
         }
@@ -317,33 +251,6 @@ fn main() -> ExitCode {
             &format!("Table 4: Groundness analysis with term-depth abstraction (k = {TABLE4_K})"),
             &tablog_bench::table4_rows_jobs(profile, jobs),
         );
-    }
-    if let Some(n) = slg_threads {
-        let rows = match run_slg_comparison(n) {
-            Ok(rows) => rows,
-            Err(e) => {
-                eprintln!("FAIL: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        println!("\nParallel SLG: single-query fixpoint time at {n} worker(s) vs. sequential");
-        println!(
-            "{:<12} {:>8} {:>12} {:>12} {:>8} {:>10} {:>6} {:>7}",
-            "Program", "threads", "sequential", "parallel", "speedup", "imbalance", "msgs", "idle%"
-        );
-        for r in &rows {
-            println!(
-                "{:<12} {:>8} {:>10}ms {:>10}ms {:>8.2} {:>10.2} {:>6} {:>7.1}",
-                r.program,
-                r.threads,
-                ms(r.sequential),
-                ms(r.parallel),
-                r.speedup(),
-                r.imbalance,
-                r.msgs_sent,
-                r.idle_pct
-            );
-        }
     }
     if want_domains {
         let rows = match run_domain_comparison() {

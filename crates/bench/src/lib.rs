@@ -282,7 +282,7 @@ pub fn table4_rows_jobs(profile: bool, jobs: usize) -> Vec<Row> {
 pub struct SchedRow {
     /// Benchmark name.
     pub program: String,
-    /// Scheduler name (`depth_first`, `batched`, …).
+    /// Scheduler name (`depth_first` or `breadth_first`).
     pub strategy: &'static str,
     /// Engine steps (expansions + returns).
     pub steps: usize,
@@ -302,7 +302,7 @@ pub struct SchedRow {
 /// As [`table1_rows`].
 pub fn scheduler_rows() -> Vec<SchedRow> {
     let mut rows = Vec::new();
-    for sched in [Scheduling::DepthFirst, Scheduling::Batched] {
+    for sched in [Scheduling::DepthFirst, Scheduling::BreadthFirst] {
         for b in logic_benchmarks() {
             let program = parse_program(b.source).expect("suite parses");
             let entry = EntryPoint::parse(b.entry).expect("entries parse");
@@ -432,45 +432,6 @@ pub fn measure_parallel(jobs: usize) -> (ParallelMeasurement, SuiteTables) {
     )
 }
 
-/// One parallel-SLG comparison row (PR 8): the Table 1 groundness query of
-/// one benchmark, evaluated once on the sequential depth-first scheduler
-/// and once under the engine's `parallel` scheduler with `threads` workers.
-/// Unlike [`ParallelMeasurement`] — which farms whole benchmarks out to
-/// independent sessions — this parallelism is *within a single query*: the
-/// engine partitions one derivation forest across workers by predicate SCC.
-#[derive(Clone, Debug)]
-pub struct ParSlgRow {
-    /// Benchmark name.
-    pub program: String,
-    /// Worker threads of the parallel run.
-    pub threads: usize,
-    /// Fixpoint (analysis-phase) time under depth-first scheduling.
-    pub sequential: Duration,
-    /// Fixpoint time under the parallel scheduler.
-    pub parallel: Duration,
-    /// Whether both runs reached identical answer sets. `false` is an
-    /// engine bug; every consumer of these rows must hard-fail on it.
-    pub identical: bool,
-    /// Load imbalance of the parallel run (max worker busy time over the
-    /// mean; 1.0 is perfectly balanced). See
-    /// [`tablog_engine::ParallelReport::imbalance`].
-    pub imbalance: f64,
-    /// Cross-worker messages sent during the parallel run.
-    pub msgs_sent: u64,
-    /// Share of total worker wall-clock not spent busy, in percent.
-    pub idle_pct: f64,
-}
-
-impl ParSlgRow {
-    /// Sequential / parallel fixpoint-time ratio.
-    pub fn speedup(&self) -> f64 {
-        if self.parallel.is_zero() {
-            return 0.0;
-        }
-        self.sequential.as_secs_f64() / self.parallel.as_secs_f64()
-    }
-}
-
 /// Order-independent fingerprint of a groundness report's answer sets:
 /// per predicate, the sorted success rows, sorted call patterns, and the
 /// per-argument meet, plus the engine's unique-answer and subgoal counts.
@@ -510,55 +471,6 @@ fn groundness_fingerprint(r: &tablog_core::groundness::GroundnessReport) -> Vec<
         r.stats.answers, r.stats.subgoals
     ));
     fp
-}
-
-/// Runs the Table 1 groundness query of every logic benchmark under the
-/// sequential and the parallel scheduler and reports per-query fixpoint
-/// times, speedup, and answer-set identity. See [`parallel_slg_rows_for`].
-///
-/// # Panics
-///
-/// As [`table1_rows`].
-pub fn parallel_slg_rows(threads: usize) -> Vec<ParSlgRow> {
-    parallel_slg_rows_for(&logic_benchmarks(), threads)
-}
-
-/// [`parallel_slg_rows`] restricted to the given benchmarks.
-///
-/// # Panics
-///
-/// As [`table1_rows`].
-pub fn parallel_slg_rows_for(
-    benchmarks: &[tablog_suite::LogicBenchmark],
-    threads: usize,
-) -> Vec<ParSlgRow> {
-    benchmarks
-        .iter()
-        .map(|b| {
-            let program = parse_program(b.source).expect("suite parses");
-            let entry = EntryPoint::parse(b.entry).expect("entries parse");
-            let run = |scheduling: Scheduling| {
-                let mut an = GroundnessAnalyzer::new();
-                an.options.scheduling = scheduling;
-                an.options.threads = threads;
-                an.analyze_with_entries(&program, std::slice::from_ref(&entry))
-                    .expect("suite analyzes")
-            };
-            let seq = run(Scheduling::DepthFirst);
-            let par = run(Scheduling::Parallel);
-            let attribution = par.parallel.as_ref();
-            ParSlgRow {
-                program: b.name.to_owned(),
-                threads,
-                sequential: seq.timings.analysis,
-                parallel: par.timings.analysis,
-                identical: groundness_fingerprint(&seq) == groundness_fingerprint(&par),
-                imbalance: attribution.map_or(1.0, |p| p.imbalance()),
-                msgs_sent: attribution.map_or(0, |p| p.msgs_sent_total()),
-                idle_pct: attribution.map_or(0.0, |p| p.idle_pct()),
-            }
-        })
-        .collect()
 }
 
 /// One Prop-domain comparison row (PR 9): the Table 1 groundness query of
@@ -822,45 +734,6 @@ pub fn pr5_json(
     format!("{},\"host\":{}}}", &doc[..doc.len() - 1], host_json(host))
 }
 
-fn par_slg_row_json(r: &ParSlgRow) -> String {
-    format!(
-        "{{\"program\":\"{}\",\"threads\":{},\"sequential_us\":{},\"parallel_us\":{},\
-         \"speedup\":{:.3},\"identical\":{},\"imbalance\":{:.3},\"msgs_sent\":{},\
-         \"idle_pct\":{:.1}}}",
-        tablog_trace::json::escape(&r.program),
-        r.threads,
-        r.sequential.as_micros(),
-        r.parallel.as_micros(),
-        r.speedup(),
-        r.identical,
-        r.imbalance,
-        r.msgs_sent,
-        r.idle_pct
-    )
-}
-
-/// [`pr5_json`] extended with the PR 8 measurement: an `"slg_parallel"`
-/// array of per-query [`ParSlgRow`]s — sequential vs. parallel-scheduler
-/// fixpoint times for the same single query, with the answer-set identity
-/// verdict. The earlier keys are unchanged, so every older baseline format
-/// still round-trips through [`bench_diff`]; the new rows' times are
-/// host-sensitive and get the same cross-host demotion as the others.
-pub fn pr8_json(
-    tables: &SuiteTables,
-    sched: &[SchedRow],
-    parallel: Option<&ParallelMeasurement>,
-    host: &HostMeta,
-    slg: &[ParSlgRow],
-) -> String {
-    let doc = pr5_json(tables, sched, parallel, host);
-    let rows: Vec<String> = slg.iter().map(par_slg_row_json).collect();
-    format!(
-        "{},\"slg_parallel\":[{}]}}",
-        &doc[..doc.len() - 1],
-        rows.join(",")
-    )
-}
-
 fn domain_row_json(r: &DomainRow) -> String {
     format!(
         "{{\"program\":\"{}\",\"domain\":\"{}\",\"time_us\":{},\"direct_us\":{},\
@@ -875,7 +748,7 @@ fn domain_row_json(r: &DomainRow) -> String {
     )
 }
 
-/// [`pr8_json`] extended with the PR 9 measurement: a `"pos_domain"` array
+/// [`pr5_json`] extended with the Prop-domain comparison: a `"pos_domain"` array
 /// of per-query [`DomainRow`]s — the Table 1/2 groundness workloads re-run
 /// under each Prop-domain backend, with table space, BDD node counts, and
 /// the cross-backend identity verdict. The earlier keys are unchanged, so
@@ -887,10 +760,9 @@ pub fn pr9_json(
     sched: &[SchedRow],
     parallel: Option<&ParallelMeasurement>,
     host: &HostMeta,
-    slg: &[ParSlgRow],
     domains: &[DomainRow],
 ) -> String {
-    let doc = pr8_json(tables, sched, parallel, host, slg);
+    let doc = pr5_json(tables, sched, parallel, host);
     let rows: Vec<String> = domains.iter().map(domain_row_json).collect();
     format!(
         "{},\"pos_domain\":[{}]}}",
@@ -921,24 +793,18 @@ impl BenchDiff {
 ///
 /// * `table_bytes` growth beyond `max_bytes_regress_pct` is a **failure**
 ///   — table space is deterministic, so growth is a real engine change;
-/// * wall-clock (`total_us`, `tabled_us`, `direct_us`, the `slg_parallel`
-///   rows' `sequential_us`/`parallel_us`, and the `pos_domain` rows'
-///   `time_us`) growth beyond
-///   `max_time_regress_pct` *plus an absolute 500µs slack* (sub-millisecond
-///   rows are pure noise) is a **failure**, demoted to a warning when the
-///   two documents report different host cpu counts (different machine —
-///   timing comparisons are meaningless, and for the parallel-scheduler
-///   rows the achievable speedup itself depends on the core count);
+/// * wall-clock (`total_us`, `tabled_us`, `direct_us`, and the
+///   `pos_domain` rows' `time_us`) growth beyond `max_time_regress_pct`
+///   *plus an absolute 500µs slack* (sub-millisecond rows are pure noise)
+///   is a **failure**, demoted to a warning when the two documents report
+///   different host cpu counts (different machine — timing comparisons are
+///   meaningless);
 /// * `peak_heap_bytes` growth beyond `max_heap_regress_pct` *plus an
 ///   absolute 64 KiB slack* (allocator bookkeeping varies a little run to
 ///   run) is a **failure**, demoted across hosts like the time columns
 ///   (different libc allocators size identical workloads differently); a
 ///   baseline row carrying heap while the new row lacks it warns (the
 ///   candidate was likely built without `track-alloc`);
-/// * the `slg_parallel` rows' load-balance attribution columns
-///   (`imbalance`, `idle_pct`, `msgs_sent`) are advisory: SCC ownership is
-///   claimed by a race, so drift beyond the time threshold **warns** but
-///   never fails, on any host;
 /// * a row present in `OLD` but missing from `NEW` is a **failure** (the
 ///   benchmark silently disappeared); rows only in `NEW` warn.
 pub fn bench_diff(
@@ -974,14 +840,7 @@ pub fn bench_diff(
             .find(|r| r.get("program").and_then(JsonValue::as_str) == Some(name))
             .cloned()
     };
-    for table in [
-        "table1",
-        "table2",
-        "table3",
-        "table4",
-        "slg_parallel",
-        "pos_domain",
-    ] {
+    for table in ["table1", "table2", "table3", "table4", "pos_domain"] {
         let old_rows = old
             .get(table)
             .and_then(JsonValue::as_arr)
@@ -1014,14 +873,7 @@ pub fn bench_diff(
                     ));
                 }
             }
-            for key in [
-                "total_us",
-                "tabled_us",
-                "direct_us",
-                "sequential_us",
-                "parallel_us",
-                "time_us",
-            ] {
+            for key in ["total_us", "tabled_us", "direct_us", "time_us"] {
                 if let (Some(o), Some(n)) = (metric(old_row, key), metric(&new_row, key)) {
                     if o > 0.0 && n > o * (1.0 + max_time_regress_pct / 100.0) + TIME_SLACK_US {
                         let msg = format!(
@@ -1032,20 +884,6 @@ pub fn bench_diff(
                         } else {
                             diff.failures.push(msg);
                         }
-                    }
-                }
-            }
-            // Load-balance attribution columns (the `slg_parallel` rows'
-            // imbalance / idle_pct / msgs_sent): SCC ownership is claimed
-            // by a race, so these legitimately vary run to run and across
-            // hosts — drift is surfaced but never fails the gate.
-            for key in ["imbalance", "idle_pct", "msgs_sent"] {
-                if let (Some(o), Some(n)) = (metric(old_row, key), metric(&new_row, key)) {
-                    if o > 0.0 && n > o * (1.0 + max_time_regress_pct / 100.0) {
-                        diff.warnings.push(format!(
-                            "{table}/{name}: {key} {n} exceeds baseline {o} by \
-                             >{max_time_regress_pct}% (attribution drift, advisory only)"
-                        ));
                     }
                 }
             }
@@ -1220,9 +1058,12 @@ mod tests {
             .iter()
             .filter(|r| r.strategy == "depth_first")
             .collect();
-        let ba: Vec<_> = rows.iter().filter(|r| r.strategy == "batched").collect();
-        assert_eq!(df.len(), ba.len());
-        for (d, b) in df.iter().zip(ba.iter()) {
+        let bf: Vec<_> = rows
+            .iter()
+            .filter(|r| r.strategy == "breadth_first")
+            .collect();
+        assert_eq!(df.len(), bf.len());
+        for (d, b) in df.iter().zip(bf.iter()) {
             assert_eq!(d.program, b.program);
             assert_eq!(
                 d.answers, b.answers,
@@ -1494,125 +1335,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_slg_rows_match_sequential_fixpoints() {
-        let benches: Vec<_> = logic_benchmarks()
-            .into_iter()
-            .filter(|b| matches!(b.name, "qsort" | "queens" | "disj"))
-            .collect();
-        assert_eq!(benches.len(), 3);
-        for threads in [2usize, 4] {
-            let rows = parallel_slg_rows_for(&benches, threads);
-            assert_eq!(rows.len(), 3);
-            for r in &rows {
-                assert!(
-                    r.identical,
-                    "{}: parallel answer sets diverged at {} threads",
-                    r.program, r.threads
-                );
-                assert_eq!(r.threads, threads);
-                assert!(
-                    r.sequential > Duration::ZERO && r.parallel > Duration::ZERO,
-                    "{}",
-                    r.program
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pr8_json_extends_pr5_with_slg_parallel() {
-        let tables = run_suite(false, 2);
-        let sched = scheduler_rows();
-        let host = host_meta();
-        let benches: Vec<_> = logic_benchmarks()
-            .into_iter()
-            .filter(|b| matches!(b.name, "qsort" | "queens"))
-            .collect();
-        let slg = parallel_slg_rows_for(&benches, 2);
-        let doc = pr8_json(&tables, &sched, None, &host, &slg);
-        let v = tablog_trace::json::parse(&doc).expect("pr8_json is valid JSON");
-        for key in [
-            "table1",
-            "table2",
-            "table3",
-            "table4",
-            "schedulers",
-            "host",
-            "slg_parallel",
-        ] {
-            assert!(v.get(key).is_some(), "missing key {key}");
-        }
-        use tablog_trace::json::JsonValue;
-        let rows = v.get("slg_parallel").and_then(JsonValue::as_arr).unwrap();
-        assert_eq!(rows.len(), 2);
-        for row in rows {
-            assert_eq!(row.get("threads").and_then(JsonValue::as_f64), Some(2.0));
-            for key in [
-                "program",
-                "sequential_us",
-                "parallel_us",
-                "speedup",
-                "identical",
-            ] {
-                assert!(row.get(key).is_some(), "slg row missing {key}");
-            }
-        }
-        // A document compared with itself never regresses.
-        let diff = bench_diff(&v, &v, 25.0, 5.0, 5.0);
-        assert!(!diff.is_regression(), "{diff:?}");
-    }
-
-    fn synthetic_slg_doc(parallel_us: u64, num_cpus: usize) -> tablog_trace::json::JsonValue {
-        let doc = format!(
-            "{{\"table1\":[],\"table2\":[],\"table3\":[],\"table4\":[],\
-             \"slg_parallel\":[{{\"program\":\"kalah\",\"threads\":4,\
-             \"sequential_us\":20000,\"parallel_us\":{parallel_us},\
-             \"speedup\":1.0,\"identical\":true}}],\
-             \"host\":{{\"num_cpus\":{num_cpus},\"profile\":\"release\",\
-             \"os\":\"linux\",\"arch\":\"x86_64\",\"git_rev\":\"abc\"}}}}"
-        );
-        tablog_trace::json::parse(&doc).unwrap()
-    }
-
-    #[test]
-    fn bench_diff_gates_slg_parallel_times_on_same_host_only() {
-        // Same host, 10ms -> 50ms parallel fixpoint: a hard failure.
-        let old = synthetic_slg_doc(10_000, 4);
-        let new = synthetic_slg_doc(50_000, 4);
-        let diff = bench_diff(&old, &new, 25.0, 5.0, 5.0);
-        assert!(diff.is_regression(), "{diff:?}");
-        assert!(
-            diff.failures
-                .iter()
-                .any(|f| f.contains("slg_parallel/kalah") && f.contains("parallel_us")),
-            "{diff:?}"
-        );
-        // Different cpu counts: the same growth demotes to a warning —
-        // the achievable speedup depends on the core count.
-        let other_host = synthetic_slg_doc(50_000, 16);
-        let diff = bench_diff(&old, &other_host, 25.0, 5.0, 5.0);
-        assert!(!diff.is_regression(), "{diff:?}");
-        assert!(
-            diff.warnings
-                .iter()
-                .any(|w| w.contains("slg_parallel/kalah") && w.contains("parallel_us")),
-            "{diff:?}"
-        );
-        // A vanished slg row is a failure, exactly like the other tables.
-        let empty = tablog_trace::json::parse(
-            "{\"table1\":[],\"table2\":[],\"table3\":[],\"table4\":[],\"slg_parallel\":[]}",
-        )
-        .unwrap();
-        let diff = bench_diff(&old, &empty, 25.0, 5.0, 5.0);
-        assert!(
-            diff.failures
-                .iter()
-                .any(|f| f.contains("slg_parallel/kalah") && f.contains("missing from NEW")),
-            "{diff:?}"
-        );
-    }
-
-    #[test]
     fn pos_domain_rows_agree_across_backends() {
         let rows = pos_domain_rows();
         assert_eq!(rows.len(), 24, "12 benchmarks x 2 backends");
@@ -1638,7 +1360,7 @@ mod tests {
     }
 
     #[test]
-    fn pr9_json_extends_pr8_with_pos_domain() {
+    fn pr9_json_extends_pr5_with_pos_domain() {
         let tables = run_suite(false, 2);
         let sched = scheduler_rows();
         let host = host_meta();
@@ -1662,7 +1384,7 @@ mod tests {
                 identical: true,
             },
         ];
-        let doc = pr9_json(&tables, &sched, None, &host, &[], &domains);
+        let doc = pr9_json(&tables, &sched, None, &host, &domains);
         let v = tablog_trace::json::parse(&doc).expect("pr9_json is valid JSON");
         for key in [
             "table1",
@@ -1671,7 +1393,6 @@ mod tests {
             "table4",
             "schedulers",
             "host",
-            "slg_parallel",
             "pos_domain",
         ] {
             assert!(v.get(key).is_some(), "missing key {key}");

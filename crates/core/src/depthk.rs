@@ -14,7 +14,7 @@
 //! before entering the tables.
 
 use crate::error::AnalysisError;
-use crate::groundness::{expand_disjunctions, EntryPoint};
+use crate::groundness::{expand_disjunctions, require_defined, EntryPoint};
 use crate::pipeline::{PhaseTimings, Timer};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -173,6 +173,7 @@ impl DepthKAnalyzer {
             }
         } else {
             for e in entries {
+                require_defined(&preds, intern(&e.name), e.ground_args.len())?;
                 let args: Vec<Term> = e
                     .ground_args
                     .iter()
@@ -240,7 +241,8 @@ impl DepthKAnalyzer {
                 other => other.clone(),
             })
             .collect();
-        let (db, _) = self.load_abstract(program, &[])?;
+        let (db, preds) = self.load_abstract(program, &[])?;
+        require_defined(&preds, f.name, f.arity)?;
         let engine = Engine::new(db, self.hooked_options());
         let abstract_term = build(ak_functor(f.name, f.arity), args);
         crate::explain::explain_abstract(&engine, goal, &abstract_term, &b, max_depth)

@@ -16,7 +16,7 @@
 //! backend with [`DirectAnalyzer::domain`].
 
 use crate::error::AnalysisError;
-use crate::groundness::{transform_program, EntryPoint, IffMode, GP_PREFIX};
+use crate::groundness::{require_defined, transform_program, EntryPoint, IffMode, GP_PREFIX};
 use crate::pipeline::{PhaseTimings, Timer};
 use crate::prop::{PropTable, MAX_VARS};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -463,12 +463,7 @@ impl DirectAnalyzer {
         let arity = e.ground_args.len();
         let f = gp(tablog_term::intern(&e.name), arity);
         let (mut solver, preds) = self.build_solver(domain, program)?;
-        if !preds.contains_key(&(tablog_term::intern(&e.name), arity)) {
-            return Err(AnalysisError::Unsupported(format!(
-                "unknown predicate {}/{arity} in goal {goal}",
-                e.name
-            )));
-        }
+        require_defined(&preds, tablog_term::intern(&e.name), arity)?;
         let mut cp = solver.domain.top(arity);
         for (i, &g) in e.ground_args.iter().enumerate() {
             if g {
@@ -545,6 +540,7 @@ impl DirectAnalyzer {
         } else {
             for e in entries {
                 let arity = e.ground_args.len();
+                require_defined(&preds, tablog_term::intern(&e.name), arity)?;
                 let f = gp(tablog_term::intern(&e.name), arity);
                 let mut cp = solver.domain.top(arity);
                 for (i, &g) in e.ground_args.iter().enumerate() {

@@ -11,6 +11,9 @@ pub enum AnalysisError {
     Engine(tablog_engine::EngineError),
     /// The program uses a feature the analysis cannot handle.
     Unsupported(String),
+    /// An entry point or explained goal names a predicate the program does
+    /// not define, given as `name/arity` in the source program's terms.
+    UnknownEntry(String),
 }
 
 impl fmt::Display for AnalysisError {
@@ -19,6 +22,7 @@ impl fmt::Display for AnalysisError {
             AnalysisError::Parse(m) => write!(f, "parse error: {m}"),
             AnalysisError::Engine(e) => write!(f, "engine error: {e}"),
             AnalysisError::Unsupported(m) => write!(f, "unsupported: {m}"),
+            AnalysisError::UnknownEntry(p) => write!(f, "unknown entry predicate {p}"),
         }
     }
 }

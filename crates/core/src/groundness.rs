@@ -42,6 +42,25 @@ pub const GP_PREFIX: &str = "gp$";
 /// transformation (a `BTreeMap` keyed for deterministic order).
 pub type PredSet = BTreeMap<(tablog_term::Sym, usize), ()>;
 
+/// Fails with [`AnalysisError::UnknownEntry`] unless the source program
+/// defines `name/arity`. The analyzers check entry points and explained
+/// goals with this before evaluating, so the error names the user's
+/// predicate rather than its transformed counterpart (`gp$p`, `ak$p`).
+pub(crate) fn require_defined(
+    preds: &PredSet,
+    name: tablog_term::Sym,
+    arity: usize,
+) -> Result<(), AnalysisError> {
+    if preds.contains_key(&(name, arity)) {
+        Ok(())
+    } else {
+        Err(AnalysisError::UnknownEntry(format!(
+            "{}/{arity}",
+            sym_name(name)
+        )))
+    }
+}
+
 /// An entry point for goal-directed analysis: which arguments of the
 /// predicate are ground at the initial call.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -133,10 +152,6 @@ pub struct GroundnessReport {
     /// [`profile`](GroundnessAnalyzer::profile) flag was set. Predicate
     /// keys are the abstract program's (`gp$p/n`, `$ga/0`).
     pub metrics: Option<MetricsReport>,
-    /// Per-worker load and message-flow attribution, `Some` exactly when
-    /// the analysis ran under the parallel scheduler (see
-    /// [`tablog_engine::ParallelReport`]).
-    pub parallel: Option<tablog_engine::ParallelReport>,
 }
 
 impl GroundnessReport {
@@ -242,6 +257,7 @@ impl GroundnessAnalyzer {
             }
         } else {
             for e in entries {
+                require_defined(&preds, intern(&e.name), e.ground_args.len())?;
                 let args: Vec<Term> = e
                     .ground_args
                     .iter()
@@ -298,7 +314,8 @@ impl GroundnessAnalyzer {
                 ))),
             })
             .collect::<Result<_, _>>()?;
-        let (db, _) = self.load_abstract(program, &[])?;
+        let (db, preds) = self.load_abstract(program, &[])?;
+        require_defined(&preds, f.name, f.arity)?;
         let engine = Engine::new(db, self.options.clone());
         let abstract_term = build(gp_functor(f.name, f.arity), args);
         crate::explain::explain_abstract(&engine, goal, &abstract_term, &b, max_depth)
@@ -405,7 +422,6 @@ impl GroundnessAnalyzer {
             domain_bytes: domain_stats.bytes,
             bdd_nodes: domain_stats.nodes,
             metrics,
-            parallel: eval.parallel_report().cloned(),
         })
     }
 }

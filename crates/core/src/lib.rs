@@ -64,5 +64,5 @@ mod profile;
 
 pub use error::AnalysisError;
 pub use explain::AnalysisExplanation;
-pub use parallel::{analyze_many, parallel_map};
+pub use parallel::analyze_many;
 pub use pipeline::{PhaseTimings, Timer};

@@ -120,27 +120,6 @@ impl Machine<'_> {
                 self.consumers[cid].next = idx + 1;
                 self.push(Task::Return(cid, idx));
             }
-            // Parallel runs: forward exactly this answer to every consumer
-            // registered from another worker. Registration back-fills the
-            // answers known at that moment and insertion forwards from then
-            // on — both happen on this (the owner's) thread, so no answer
-            // is ever sent twice or skipped.
-            if let Some(par) = self.par.as_ref() {
-                if !self.subgoals[sid].remote_consumers.is_empty() {
-                    let args = self.arena.terms(&self.subgoals[sid].answers[idx]);
-                    for &(worker, token) in &self.subgoals[sid].remote_consumers {
-                        par.send(
-                            worker,
-                            crate::parallel::Msg::Answer {
-                                token,
-                                args: args.clone(),
-                                from: par.me,
-                                flow: None,
-                            },
-                        );
-                    }
-                }
-            }
         } else {
             self.stats.duplicate_answers += 1;
             if let Some(sink) = self.trace {

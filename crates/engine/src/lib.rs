@@ -25,10 +25,9 @@
 //!   first-argument index (faster evaluation, more preprocessing); dynamic
 //!   predicates are asserted as a plain clause list (XSB's `assert`-and-
 //!   `call/1` mode, which the paper found superior overall).
-//! * **Scheduling** ([`Scheduling`]): the SLG worklist is a pluggable
-//!   [`Scheduler`] — depth-first (local-ish), breadth-first, or batched
-//!   (drain pending expansions before returning answers, XSB's batched
-//!   strategy; Section 6.2's discussion).
+//! * **Scheduling** ([`Scheduling`]): the SLG worklist runs depth-first
+//!   (LIFO, akin to XSB's local scheduling; the default) or breadth-first
+//!   (FIFO) — Section 6.2's discussion.
 //! * **Forward subsumption** ([`EngineOptions::forward_subsumption`]):
 //!   route specific calls through the open call's table (Section 6.2).
 //! * **Call abstraction / answer widening hooks**
@@ -62,7 +61,6 @@ mod explain;
 mod justify;
 mod machine;
 mod options;
-mod parallel;
 mod provenance;
 mod report;
 mod scheduler;
@@ -82,10 +80,8 @@ pub use error::EngineError;
 pub use explain::Explanation;
 pub use justify::{JustNode, JustStatus};
 pub use options::{EngineOptions, Scheduling, TermHook, Unknown};
-pub use parallel::{MsgEdge, ParallelReport, SccOwner, WorkerLoad};
 pub use provenance::{AnswerProv, AnswerRef, ClauseRef};
 pub use report::{TableReport, TableRow};
-pub use scheduler::{make_scheduler, Batched, BreadthFirst, DepthFirst, Scheduler, TaskClass};
 pub use session::{Engine, Evaluation, Solutions};
 pub use table::{AnswerIter, SubgoalView, TableBytes, TableStats};
 

@@ -16,8 +16,8 @@
 //!   and node key of the run — handed to the finished
 //!   [`Evaluation`](crate::Evaluation) and dropped with it, so nothing
 //!   accumulates across runs;
-//! * a pluggable [`Scheduler`](crate::Scheduler) deciding which worklist
-//!   task runs next, selected by [`EngineOptions::scheduling`].
+//! * the worklist, whose pop order (depth- or breadth-first) is selected
+//!   by [`EngineOptions::scheduling`].
 //!
 //! Goal dispatch for builtins and SLD clauses lives in `dispatch.rs`;
 //! answer flow (consumer resumption, table insertion, negation
@@ -28,9 +28,8 @@ use crate::builtins::{control, lookup_builtin, syms, Control};
 use crate::database::Database;
 use crate::error::EngineError;
 use crate::options::{EngineOptions, Unknown};
-use crate::parallel::{Msg, ParCtx};
 use crate::provenance::{ClauseRef, NodeProv};
-use crate::scheduler::{make_scheduler, Scheduler, TaskClass};
+use crate::scheduler::{TaskClass, Worklist};
 use crate::session::Evaluation;
 use crate::table::{SubgoalState, TableStats};
 use tablog_term::{
@@ -85,19 +84,19 @@ pub(crate) struct Machine<'e> {
     pub(crate) subgoals: Vec<SubgoalState>,
     /// Subgoal lookup keyed by the call's arena id: a hash probe on a
     /// 12-byte key with O(1) equality, never a structural term walk.
-    pub(crate) lookup: FastMap<(Functor, TermId), usize>,
+    lookup: FastMap<(Functor, TermId), usize>,
     pub(crate) consumers: Vec<Consumer>,
-    /// The worklist, behind the strategy selected by
+    /// The worklist, popped in the order selected by
     /// [`EngineOptions::scheduling`].
-    pub(crate) scheduler: Box<dyn Scheduler<Task>>,
+    worklist: Worklist<Task>,
     /// Derivation nodes already scheduled, per subgoal: the forest is a
     /// *set* of nodes, so a variant-identical resolvent reached along two
     /// different derivation paths is expanded only once. This collapses
     /// the combinatorial re-derivation that long conjunctions of
     /// enumerative literals otherwise cause. Keys are arena ids — no
     /// canonical-term copies are stored. Membership is checked *before*
-    /// the scheduler sees the task, so it is strategy-independent.
-    pub(crate) seen_nodes: FastSet<(usize, usize, TermId)>,
+    /// the task is queued, so it is strategy-independent.
+    seen_nodes: FastSet<(usize, usize, TermId)>,
     pub(crate) stats: TableStats,
     /// Event observer, `None` unless `EngineOptions::trace` is set. Events
     /// are only constructed under `if let Some(..)`, so the disabled path
@@ -109,7 +108,7 @@ pub(crate) struct Machine<'e> {
     pub(crate) spans: Option<SpanEmitter>,
     /// Counter sampling enabled: `EngineOptions::record_counters` *and* a
     /// sink installed. The disabled path is one branch per worklist task.
-    pub(crate) counters_on: bool,
+    counters_on: bool,
     /// Any resource budget set. The only cost budgets add to an unbudgeted
     /// run is this one branch per worklist task.
     budgets_on: bool,
@@ -122,14 +121,6 @@ pub(crate) struct Machine<'e> {
     /// propagated from a negation subcomputation); once set, `drain` stops
     /// scheduling and `run` hands back a truncated evaluation.
     pub(crate) truncated: Option<TruncationReason>,
-    /// Parallel-run context (worker id, shared state, peer channels) when
-    /// this machine is one worker of a [`crate::Scheduling::Parallel`]
-    /// evaluation; `None` for sequential machines and for negation
-    /// sub-machines, which always evaluate locally.
-    pub(crate) par: Option<ParCtx>,
-    /// Consumer nodes waiting on answers from subgoals owned by other
-    /// workers, indexed by the token carried in the remote call message.
-    pub(crate) remote_waits: Vec<(Functor, Node)>,
     /// Periodic health emission state, `Some` only when
     /// `EngineOptions::health` is set *and* a sink is installed.
     health: Option<HealthState>,
@@ -164,7 +155,7 @@ impl<'e> Machine<'e> {
             subgoals: Vec::new(),
             lookup: FastMap::default(),
             consumers: Vec::new(),
-            scheduler: make_scheduler(opts.scheduling),
+            worklist: Worklist::new(opts.scheduling),
             seen_nodes: FastSet::default(),
             stats: TableStats::default(),
             trace: opts.trace.as_deref(),
@@ -176,8 +167,6 @@ impl<'e> Machine<'e> {
                 .deadline
                 .map(|d| start_ns.saturating_add(d.as_nanos() as u64)),
             truncated: None,
-            par: None,
-            remote_waits: Vec::new(),
             health: health_on.then(|| {
                 let cfg = opts.health.unwrap();
                 HealthState {
@@ -195,21 +184,16 @@ impl<'e> Machine<'e> {
     /// Emits one counter time-series sample to the trace sink. Only called
     /// from sites gated on `counters_on`, so the disabled path takes no
     /// timestamp and constructs nothing.
-    pub(crate) fn sample_counters(&self) {
+    fn sample_counters(&self) {
         if let Some(sink) = self.trace {
             sink.counter_sample(&CounterSample {
                 t_ns: tablog_trace::now_ns(),
-                worklist: self.scheduler.len(),
-                expands: self.scheduler.class_len(TaskClass::Expand),
-                returns: self.scheduler.class_len(TaskClass::Return),
+                worklist: self.worklist.len(),
+                expands: self.worklist.class_len(TaskClass::Expand),
+                returns: self.worklist.class_len(TaskClass::Return),
                 tables: self.subgoals.len(),
                 answers: self.stats.answers,
                 table_bytes: self.stats.table_bytes,
-                msgs_sent: self
-                    .par
-                    .as_ref()
-                    .map_or(0, |p| p.msgs_sent_total() as usize),
-                worker: self.par.as_ref().map(|p| p.me),
             });
         }
     }
@@ -273,9 +257,9 @@ impl<'e> Machine<'e> {
         HealthSnapshot {
             t_ns,
             steps: self.stats.steps,
-            worklist: self.scheduler.len(),
-            expands: self.scheduler.class_len(TaskClass::Expand),
-            returns: self.scheduler.class_len(TaskClass::Return),
+            worklist: self.worklist.len(),
+            expands: self.worklist.class_len(TaskClass::Expand),
+            returns: self.worklist.class_len(TaskClass::Return),
             tables: self.subgoals.len(),
             completed_tables: self.subgoals.iter().filter(|s| s.complete).count(),
             answers,
@@ -349,14 +333,7 @@ impl<'e> Machine<'e> {
             }
             Task::Return(..) => TaskClass::Return,
         };
-        // Under the parallel driver every enqueued task is one unit of the
-        // run-wide pending-work count (decremented after execution); the
-        // count only covers tasks that actually enter a queue, so the
-        // seen-node drop above must come first.
-        if let Some(par) = &self.par {
-            par.on_enqueue();
-        }
-        self.scheduler.push(class, task);
+        self.worklist.push(class, task);
     }
 
     pub(crate) fn run(
@@ -426,17 +403,15 @@ impl<'e> Machine<'e> {
             subgoals: std::mem::take(&mut self.subgoals),
             root,
             stats: self.stats,
-            scheduler: self.scheduler.name(),
+            scheduler: self.opts.scheduling.name(),
             arena: std::mem::take(&mut self.arena),
             truncation,
-            parallel: None,
         })
     }
 
     /// Creates the synthetic `$query` root subgoal and schedules the root
-    /// derivation node. Shared by the sequential [`Machine::run`] prologue
-    /// and the parallel driver's worker 0.
-    pub(crate) fn seed_root(&mut self, goals: &[Term], template: &[Term], b0: &Bindings) -> usize {
+    /// derivation node.
+    fn seed_root(&mut self, goals: &[Term], template: &[Term], b0: &Bindings) -> usize {
         let root_f = Functor::new("$query", template.len());
         let key = self.arena.canonicalize(b0, template);
         let root = self.subgoals.len();
@@ -467,7 +442,7 @@ impl<'e> Machine<'e> {
     /// spans attribute time to the predicate whose table the task serves:
     /// the node's own subgoal for an expansion, the watched table for an
     /// answer return.
-    pub(crate) fn step(&mut self, task: Task) -> Result<(), EngineError> {
+    fn step(&mut self, task: Task) -> Result<(), EngineError> {
         let spans_on = self.spans.is_some();
         match task {
             Task::Expand(n) => {
@@ -503,7 +478,7 @@ impl<'e> Machine<'e> {
         if self.counters_on {
             self.sample_counters();
         }
-        while let Some(task) = self.scheduler.pop() {
+        while let Some(task) = self.worklist.pop() {
             self.stats.steps += 1;
             // Budget trips are graceful: stop scheduling, keep every table
             // row derived so far, and let `run` hand back a truncated
@@ -552,9 +527,9 @@ impl<'e> Machine<'e> {
     /// the spawned continuations that are pure inserts (clause bodies the
     /// delivery completed). Recursive chains need a further return →
     /// expand link, which never runs — that is what bounds the pass.
-    pub(crate) fn settle(&mut self) -> Result<(), EngineError> {
+    fn settle(&mut self) -> Result<(), EngineError> {
         let mut queued = Vec::new();
-        while let Some(task) = self.scheduler.pop() {
+        while let Some(task) = self.worklist.pop() {
             queued.push(task);
         }
         for task in queued {
@@ -563,7 +538,7 @@ impl<'e> Machine<'e> {
             }
         }
         let mut continuations = Vec::new();
-        while let Some(task) = self.scheduler.pop() {
+        while let Some(task) = self.worklist.pop() {
             continuations.push(task);
         }
         for task in continuations {
@@ -578,13 +553,13 @@ impl<'e> Machine<'e> {
         }
         // Inserts wake consumers and schedule fresh returns; the run is
         // over, so drop them and report a drained worklist.
-        while self.scheduler.pop().is_some() {}
+        while self.worklist.pop().is_some() {}
         Ok(())
     }
 
     /// `Some(empty trail)` when provenance recording is on, `None` (no
     /// allocation) otherwise.
-    pub(crate) fn fresh_prov(&self) -> Option<Box<NodeProv>> {
+    fn fresh_prov(&self) -> Option<Box<NodeProv>> {
         self.opts.record_provenance.then(Box::<NodeProv>::default)
     }
 
@@ -761,31 +736,6 @@ impl<'e> Machine<'e> {
             }
             key = abstracted;
         }
-        // Under the parallel driver, a call whose predicate SCC belongs to
-        // another worker is not tabled here: the consumer node parks in
-        // `remote_waits` and a call message carries the canonical pattern
-        // to the owner, who back-fills existing answers and forwards every
-        // later insert (each answer reaches the waiting node exactly once).
-        if let Some(owner) = self.remote_owner(f) {
-            let mut goals = vec![g.clone()];
-            goals.extend_from_slice(rest);
-            let node = self.make_node(sid, split, b, template, &goals, prov);
-            let token = self.remote_waits.len();
-            self.remote_waits.push((f, node));
-            let call = self.arena.terms(&key);
-            let par = self.par.as_ref().expect("remote owner implies parallel");
-            par.send(
-                owner,
-                Msg::Call {
-                    pred: f,
-                    call,
-                    from: par.me,
-                    token,
-                    flow: None,
-                },
-            );
-            return Ok(());
-        }
         let watched = self.find_or_create_subgoal(f, key)?;
         // Reconstitute this node (with the tabled goal still selected) as a
         // consumer of the callee's table. The trail parks on the consumer;
@@ -810,7 +760,7 @@ impl<'e> Machine<'e> {
         Ok(())
     }
 
-    pub(crate) fn find_or_create_subgoal(
+    fn find_or_create_subgoal(
         &mut self,
         f: Functor,
         key: CanonicalTerm,
@@ -876,15 +826,6 @@ impl<'e> Machine<'e> {
             self.span_exit();
         }
         Ok(sid)
-    }
-
-    /// `Some(worker)` when this machine is a parallel worker and `f`'s SCC
-    /// is owned by a *different* worker; `None` for sequential machines and
-    /// for predicates this worker owns (or claims, on first touch).
-    fn remote_owner(&self, f: Functor) -> Option<usize> {
-        let par = self.par.as_ref()?;
-        let owner = par.owner_of(f);
-        (owner != par.me).then_some(owner)
     }
 
     fn open_call_key(&mut self, f: Functor) -> CanonicalTerm {

@@ -215,31 +215,17 @@ fn breadth_first_scheduling_same_answers() {
 }
 
 #[test]
-fn batched_scheduling_same_answers() {
-    let e = engine_with_scheduling(GRAPH, Scheduling::Batched);
-    let s = e.solve("path(a, X)").unwrap();
-    let mut got = s.to_strings();
-    got.sort();
-    assert_eq!(got, vec!["X = a", "X = b", "X = c"]);
-}
-
-#[test]
 fn all_schedulers_agree_on_answer_sets() {
     let goals = ["path(a, X)", "path(X, Y)", "path(X, a)"];
     for goal in goals {
         let mut per_strategy: Vec<Vec<String>> = Vec::new();
-        for s in [
-            Scheduling::DepthFirst,
-            Scheduling::BreadthFirst,
-            Scheduling::Batched,
-        ] {
+        for s in [Scheduling::DepthFirst, Scheduling::BreadthFirst] {
             let e = engine_with_scheduling(GRAPH, s);
             let mut rows = e.solve(goal).unwrap().to_strings();
             rows.sort();
             per_strategy.push(rows);
         }
         assert_eq!(per_strategy[0], per_strategy[1], "{goal}");
-        assert_eq!(per_strategy[0], per_strategy[2], "{goal}");
     }
 }
 
@@ -248,7 +234,6 @@ fn evaluation_reports_scheduler_name() {
     for (s, name) in [
         (Scheduling::DepthFirst, "depth_first"),
         (Scheduling::BreadthFirst, "breadth_first"),
-        (Scheduling::Batched, "batched"),
     ] {
         let e = engine_with_scheduling(GRAPH, s);
         let mut b = Bindings::new();
@@ -402,11 +387,7 @@ fn incremental_table_bytes_agree_under_subsumption_and_widening() {
 
 #[test]
 fn incremental_table_bytes_agree_under_every_scheduler() {
-    for s in [
-        Scheduling::DepthFirst,
-        Scheduling::BreadthFirst,
-        Scheduling::Batched,
-    ] {
+    for s in [Scheduling::DepthFirst, Scheduling::BreadthFirst] {
         let opts = EngineOptions {
             scheduling: s,
             ..Default::default()

@@ -10,8 +10,9 @@ use tablog_trace::TraceSink;
 /// Worklist discipline for the derivation forest.
 ///
 /// The paper's Section 6.2 discusses the impact of scheduling strategies on
-/// answer collection; the three strategies here are implemented by the
-/// [`crate::Scheduler`] implementations of the same names.
+/// answer collection. Both strategies run over one worklist of tasks in
+/// generation order and differ only in which end they take the next task
+/// from.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Scheduling {
     /// LIFO worklist: depth-first expansion, akin to XSB's local scheduling.
@@ -19,16 +20,6 @@ pub enum Scheduling {
     DepthFirst,
     /// FIFO worklist: breadth-first expansion and answer return.
     BreadthFirst,
-    /// Exhaust expansions before returning any answers to consumers, akin
-    /// to XSB's batched scheduling.
-    Batched,
-    /// Multi-worker evaluation: the derivation forest is partitioned by
-    /// predicate SCC across [`EngineOptions::threads`] worker threads, each
-    /// running a depth-first worklist over the subgoals it owns (see
-    /// DESIGN.md, "Parallel SLG"). Answer sets are identical to the
-    /// sequential strategies; task interleaving (and hence step counts) are
-    /// not deterministic.
-    Parallel,
 }
 
 impl Scheduling {
@@ -37,8 +28,6 @@ impl Scheduling {
         match self {
             Scheduling::DepthFirst => "depth_first",
             Scheduling::BreadthFirst => "breadth_first",
-            Scheduling::Batched => "batched",
-            Scheduling::Parallel => "parallel",
         }
     }
 }
@@ -56,11 +45,9 @@ impl FromStr for Scheduling {
         match s {
             "depth_first" | "depth-first" => Ok(Scheduling::DepthFirst),
             "breadth_first" | "breadth-first" => Ok(Scheduling::BreadthFirst),
-            "batched" => Ok(Scheduling::Batched),
-            "parallel" => Ok(Scheduling::Parallel),
             other => Err(format!(
                 "unknown scheduling strategy `{other}` \
-                 (expected depth_first, breadth_first, batched, or parallel)"
+                 (expected depth_first or breadth_first)"
             )),
         }
     }
@@ -82,7 +69,7 @@ pub enum Unknown {
 /// supplies depth-truncation here. The hook receives the session's own
 /// [`TermArena`] — the handle it is given and the handle it returns both
 /// live there — and must be `Send + Sync` so engines stay `Send` and one
-/// configured engine can serve the parallel multi-program driver.
+/// configured engine can serve the multi-program driver.
 pub type TermHook = Arc<dyn Fn(&mut TermArena, &CanonicalTerm) -> CanonicalTerm + Send + Sync>;
 
 /// Options controlling tabled evaluation.
@@ -90,9 +77,6 @@ pub type TermHook = Arc<dyn Fn(&mut TermArena, &CanonicalTerm) -> CanonicalTerm 
 pub struct EngineOptions {
     /// Worklist discipline.
     pub scheduling: Scheduling,
-    /// Worker-thread count for [`Scheduling::Parallel`] (0 = one worker per
-    /// available core). Ignored by the sequential strategies.
-    pub threads: usize,
     /// Which Prop-domain backend analyses built on this engine should run
     /// on (truth tables or ROBDDs). The engine itself only records the
     /// choice — the analyzers in `tablog-core` read it back — but carrying
@@ -144,7 +128,7 @@ pub struct EngineOptions {
     /// Observer of engine events (see `tablog_trace`). With `None` the
     /// engine constructs no events at all, so tracing costs nothing when
     /// disabled. Negation subcomputations share the sink, and so do the
-    /// concurrent sessions of the parallel driver (sinks are `Sync`).
+    /// concurrent sessions of the multi-program driver (sinks are `Sync`).
     pub trace: Option<Arc<dyn TraceSink>>,
     /// Emit hierarchical timing spans (`span_enter`/`span_exit`) around
     /// evaluation, goal dispatch, clause resolution, answer return, and
@@ -173,14 +157,6 @@ impl EngineOptions {
         let on_off = |b: bool| if b { "on" } else { "off" }.to_owned();
         vec![
             ("scheduling".to_owned(), self.scheduling.name().to_owned()),
-            (
-                "threads".to_owned(),
-                match (self.scheduling, self.threads) {
-                    (Scheduling::Parallel, 0) => "auto".to_owned(),
-                    (Scheduling::Parallel, n) => n.to_string(),
-                    _ => "n/a".to_owned(),
-                },
-            ),
             ("domain".to_owned(), self.domain.name().to_owned()),
             ("occur_check".to_owned(), on_off(self.occur_check)),
             (
@@ -247,7 +223,6 @@ impl fmt::Debug for EngineOptions {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EngineOptions")
             .field("scheduling", &self.scheduling)
-            .field("threads", &self.threads)
             .field("domain", &self.domain)
             .field("occur_check", &self.occur_check)
             .field("forward_subsumption", &self.forward_subsumption)
@@ -273,29 +248,28 @@ mod tests {
 
     #[test]
     fn scheduling_round_trips_through_names() {
-        for s in [
-            Scheduling::DepthFirst,
-            Scheduling::BreadthFirst,
-            Scheduling::Batched,
-            Scheduling::Parallel,
-        ] {
+        for s in [Scheduling::DepthFirst, Scheduling::BreadthFirst] {
             assert_eq!(s.name().parse::<Scheduling>(), Ok(s));
         }
-        let err = "local".parse::<Scheduling>().unwrap_err();
-        // The error message enumerates every valid value.
-        for name in ["depth_first", "breadth_first", "batched", "parallel"] {
-            assert!(err.contains(name), "{err}");
+        // Unknown names, including the removed `batched` and `parallel`
+        // strategies, fail with a message enumerating every valid value.
+        for bad in ["local", "batched", "parallel"] {
+            let err = bad.parse::<Scheduling>().unwrap_err();
+            assert!(err.contains(&format!("`{bad}`")), "{err}");
+            for name in ["depth_first", "breadth_first"] {
+                assert!(err.contains(name), "{err}");
+            }
         }
     }
 
     #[test]
     fn describe_reports_the_selected_strategy() {
         let opts = EngineOptions {
-            scheduling: Scheduling::Batched,
+            scheduling: Scheduling::BreadthFirst,
             ..Default::default()
         };
         let kv = opts.describe();
-        assert!(kv.contains(&("scheduling".to_owned(), "batched".to_owned())));
+        assert!(kv.contains(&("scheduling".to_owned(), "breadth_first".to_owned())));
         // The active Prop-domain backend is part of the header too.
         assert!(kv.contains(&("domain".to_owned(), "table".to_owned())));
         let bdd = EngineOptions {

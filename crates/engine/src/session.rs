@@ -2,9 +2,9 @@
 //! evaluation it produces ([`Evaluation`]).
 //!
 //! An `Engine` is a loaded program plus options — cheap to clone and
-//! `Send`, so the parallel multi-program driver can hand engines to worker
+//! `Send`, so the multi-program driver can hand engines to worker
 //! threads. Each call to [`Engine::evaluate`] spins up a private machine
-//! with its own session [`TermArena`] and scheduler; the finished
+//! with its own session [`TermArena`] and worklist; the finished
 //! [`Evaluation`] carries the arena, so the entire interned forest of a run
 //! is released when the evaluation is dropped (no cross-run accumulation,
 //! no shared mutable state between concurrent sessions).
@@ -152,20 +152,6 @@ impl Engine {
         template: &[Term],
         bindings: &Bindings,
     ) -> Result<Evaluation, EngineError> {
-        // Provenance trails reference answer indices across tables, which
-        // the cross-worker merge does not preserve; explanation queries run
-        // sequentially even under the parallel strategy. The downgrade is
-        // announced (once per evaluation) rather than silent: a user asking
-        // for both gets the provenance, not the parallelism.
-        if opts.scheduling == crate::options::Scheduling::Parallel {
-            if !opts.record_provenance {
-                return crate::parallel::run_parallel(&self.db, opts, goals, template, bindings);
-            }
-            eprintln!(
-                "warning: --record-provenance forces sequential evaluation; \
-                 ignoring --scheduler parallel"
-            );
-        }
         let mut m = Machine::new(&self.db, opts);
         m.run(goals, template, bindings)
     }
@@ -257,10 +243,6 @@ pub struct Evaluation {
     /// drained; the tables then hold a sound prefix of the fixpoint and
     /// stay unmarked complete.
     pub(crate) truncation: Option<Truncation>,
-    /// Load-balance and message-flow attribution, `Some` exactly when the
-    /// parallel strategy actually ran (a provenance downgrade to sequential
-    /// leaves it `None` — the honest record of what executed).
-    pub(crate) parallel: Option<crate::parallel::ParallelReport>,
 }
 
 impl Evaluation {
@@ -359,13 +341,6 @@ impl Evaluation {
     /// Whether a resource budget cut the run short.
     pub fn is_truncated(&self) -> bool {
         self.truncation.is_some()
-    }
-
-    /// Per-worker load and message-flow attribution, `Some` exactly when
-    /// the parallel strategy produced this evaluation (see
-    /// [`crate::ParallelReport`]).
-    pub fn parallel_report(&self) -> Option<&crate::parallel::ParallelReport> {
-        self.parallel.as_ref()
     }
 
     /// Demands complete tables: returns the evaluation unchanged when the

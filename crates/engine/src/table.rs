@@ -71,10 +71,6 @@ pub(crate) struct SubgoalState {
     pub provenance: Vec<AnswerProv>,
     /// Consumer ids registered on this subgoal.
     pub consumers: Vec<usize>,
-    /// Cross-worker consumers under the parallel scheduler: `(worker,
-    /// token)` pairs to forward every inserted answer to. Always empty in
-    /// sequential runs.
-    pub remote_consumers: Vec<(usize, usize)>,
     /// Arena nodes already charged to this table's space: within one
     /// subgoal, structure shared between the call and any answers is billed
     /// exactly once (substitution factoring).
@@ -104,7 +100,6 @@ impl SubgoalState {
             answer_ids: FastSet::default(),
             provenance: Vec::new(),
             consumers: Vec::new(),
-            remote_consumers: Vec::new(),
             charged,
             bytes,
             complete: false,

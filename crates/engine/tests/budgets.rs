@@ -238,175 +238,6 @@ fn budget_trip_inside_negation_truncates_the_outer_run() {
 }
 
 #[test]
-fn parallel_step_budget_truncates_gracefully() {
-    use tablog_engine::Scheduling;
-    // Parallel step counts are aggregated across workers and the check
-    // happens at each worker's dispatch boundary, so the exact trip point
-    // is interleaving-dependent — unlike the sequential tests above, only
-    // the contract is pinned: Ok result, Steps truncation, partial answers.
-    for threads in [2usize, 4] {
-        let e = engine(
-            NUMBERS,
-            EngineOptions {
-                scheduling: Scheduling::Parallel,
-                threads,
-                max_steps: Some(400),
-                ..Default::default()
-            },
-        );
-        let sols = e.solve("num(N)").unwrap();
-        let t = sols.truncation().expect("the shared step budget must trip");
-        assert_eq!(t.reason, TruncationReason::Steps(400));
-        assert!(
-            !sols.is_empty(),
-            "the settle pass delivers pre-trip numerals ({threads} threads)"
-        );
-        assert!(
-            t.snapshot.steps > 400,
-            "aggregated step total crosses the limit: {}",
-            t.snapshot.steps
-        );
-        for row in sols.rows() {
-            let text = format!("{}", row[0]);
-            assert!(text == "z" || text.starts_with("s("), "{text}");
-        }
-    }
-}
-
-#[test]
-fn parallel_deadline_budget_truncates_without_hanging() {
-    use tablog_engine::Scheduling;
-    let e = engine(
-        NUMBERS,
-        EngineOptions {
-            scheduling: Scheduling::Parallel,
-            threads: 4,
-            deadline: Some(Duration::from_millis(50)),
-            ..Default::default()
-        },
-    );
-    let start = std::time::Instant::now();
-    let sols = e.solve("num(N)").unwrap();
-    let elapsed = start.elapsed();
-    let t = sols.truncation().expect("the shared deadline must pass");
-    assert_eq!(t.reason, TruncationReason::DeadlineMs(50));
-    assert!(
-        elapsed < Duration::from_secs(30),
-        "all workers must observe the stop flag (took {elapsed:?})"
-    );
-}
-
-#[test]
-fn parallel_table_byte_budget_truncates() {
-    use tablog_engine::Scheduling;
-    let ceiling = 4096;
-    let e = engine(
-        NUMBERS,
-        EngineOptions {
-            scheduling: Scheduling::Parallel,
-            threads: 2,
-            max_table_bytes: Some(ceiling),
-            ..Default::default()
-        },
-    );
-    let sols = e.solve("num(N)").unwrap();
-    let t = sols
-        .truncation()
-        .expect("the shared ceiling must be crossed");
-    assert_eq!(t.reason, TruncationReason::TableBytes(ceiling));
-    assert!(
-        t.snapshot.table_bytes > ceiling,
-        "published byte totals cross the ceiling: {}",
-        t.snapshot.table_bytes
-    );
-}
-
-#[test]
-fn parallel_truncated_tables_stay_incomplete_and_account_bytes() {
-    use tablog_engine::Scheduling;
-    let e = engine(
-        NUMBERS,
-        EngineOptions {
-            scheduling: Scheduling::Parallel,
-            threads: 2,
-            max_steps: Some(300),
-            ..Default::default()
-        },
-    );
-    let mut b = tablog_term::Bindings::new();
-    let (g, _) = tablog_syntax::parse_term("num(N)", &mut b).unwrap();
-    let eval = e.evaluate(&[g], &[], &b).unwrap();
-    assert!(eval.is_truncated());
-    assert!(
-        eval.subgoals().all(|s| !s.is_complete()),
-        "parallel truncation must not mark tables complete"
-    );
-    // The merged accounting invariant holds on partial tables too.
-    assert_eq!(eval.stats().table_bytes, eval.rescan_table_bytes());
-}
-
-#[test]
-fn parallel_budget_trip_inside_negation_stops_all_workers() {
-    use tablog_engine::Scheduling;
-    let src = ":- table q/1.\nq(X) :- q(f(X)).\np(Y) :- \\+ q(Y).";
-    let e = engine(
-        src,
-        EngineOptions {
-            scheduling: Scheduling::Parallel,
-            threads: 4,
-            max_steps: Some(1_000),
-            ..Default::default()
-        },
-    );
-    let start = std::time::Instant::now();
-    let sols = e.solve("p(a)").unwrap();
-    assert!(
-        sols.is_truncated(),
-        "the negation sub-machine's trip must stop the whole parallel run"
-    );
-    assert!(
-        sols.is_empty(),
-        "a truncated negation must not count as failure-as-proof"
-    );
-    assert!(start.elapsed() < Duration::from_secs(30));
-}
-
-#[test]
-fn parallel_health_snapshots_aggregate_across_workers() {
-    use tablog_engine::Scheduling;
-    let track = Arc::new(HealthTrack::new());
-    let e = engine(
-        NUMBERS,
-        EngineOptions {
-            scheduling: Scheduling::Parallel,
-            threads: 2,
-            trace: Some(track.clone()),
-            max_steps: Some(5_000),
-            health: Some(HealthConfig::every_ms(1)),
-            ..Default::default()
-        },
-    );
-    let sols = e.solve("num(N)").unwrap();
-    assert!(sols.is_truncated());
-    let samples = track.samples();
-    assert!(
-        !samples.is_empty(),
-        "the run-wide monitor emits aggregated snapshots"
-    );
-    assert!(
-        samples.windows(2).all(|w| w[0].steps <= w[1].steps),
-        "aggregated step counts are monotonic"
-    );
-    let last = track.last().unwrap();
-    assert_eq!(
-        last,
-        sols.truncation().unwrap().snapshot,
-        "the final snapshot is the truncation snapshot, from merged totals"
-    );
-    assert!(last.steps > 0 && last.answers > 0);
-}
-
-#[test]
 fn jsonl_sink_flushes_health_and_truncation_lines() {
     use tablog_engine::{JsonLinesSink, TraceSink};
     use tablog_trace::SharedBuf;

@@ -90,7 +90,7 @@ impl PredStats {
 /// only available through the bench harness's per-strategy rows).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EngineSnapshot {
-    /// Scheduling strategy name (`depth_first`, `breadth_first`, `batched`).
+    /// Scheduling strategy name (`depth_first` or `breadth_first`).
     pub scheduler: String,
     /// Prop-domain backend name (`table`, `bdd`) — the representation the
     /// analysis manipulated its boolean formulae in. Empty when the

@@ -22,7 +22,6 @@
 //! (series export only) are seconds on the [`crate::span::now_ns`]
 //! monotonic timeline; the exposition ends with the mandatory `# EOF`.
 
-use crate::counter::CounterSample;
 use crate::health::HealthSnapshot;
 
 /// One metric family: its declared name, OpenMetrics type, help text, and
@@ -167,61 +166,6 @@ pub fn openmetrics(latest: &HealthSnapshot) -> String {
 /// health history in a form collectors and humans can both read.
 pub fn openmetrics_series(samples: &[HealthSnapshot]) -> String {
     render(samples, true)
-}
-
-/// Renders the end-of-run state of each parallel worker as worker-labeled
-/// OpenMetrics gauge families: for every worker that appears in the
-/// sample stream, the *last* sample's worklist depth, live tables, answer
-/// count, table bytes, and cumulative messages sent, each exposed as
-/// `tablog_worker_<quantity>{worker="N"}`. Untagged (sequential) samples
-/// are ignored — this exposition is specifically the per-worker view the
-/// aggregate families cannot give.
-pub fn openmetrics_workers(samples: &[CounterSample]) -> String {
-    use std::collections::BTreeMap;
-    let mut last: BTreeMap<usize, &CounterSample> = BTreeMap::new();
-    for s in samples {
-        if let Some(w) = s.worker {
-            last.insert(w, s);
-        }
-    }
-    let mut out = String::new();
-    type Family = (&'static str, &'static str, fn(&CounterSample) -> f64);
-    let families: [Family; 5] = [
-        (
-            "tablog_worker_worklist_depth",
-            "Pending worklist tasks on the worker at its last sample.",
-            |s| s.worklist as f64,
-        ),
-        (
-            "tablog_worker_tables",
-            "Call tables owned by the worker.",
-            |s| s.tables as f64,
-        ),
-        (
-            "tablog_worker_answers",
-            "Unique answers admitted into the worker's tables.",
-            |s| s.answers as f64,
-        ),
-        (
-            "tablog_worker_table_bytes",
-            "Table space owned by the worker, in bytes.",
-            |s| s.table_bytes as f64,
-        ),
-        (
-            "tablog_worker_msgs_sent",
-            "Cumulative cross-worker messages sent by the worker.",
-            |s| s.msgs_sent as f64,
-        ),
-    ];
-    for (name, help, project) in families {
-        out.push_str(&format!("# TYPE {name} gauge\n"));
-        out.push_str(&format!("# HELP {name} {help}\n"));
-        for (w, s) in &last {
-            out.push_str(&format!("{name}{{worker=\"{w}\"}} {}\n", value(project(s))));
-        }
-    }
-    out.push_str("# EOF\n");
-    out
 }
 
 /// Checks an OpenMetrics text exposition for structural validity: every
@@ -374,44 +318,6 @@ mod tests {
         assert!(text.contains("tablog_answers_total 20 1.500000000\n"));
         // One TYPE declaration per family even with multiple samples.
         assert_eq!(text.matches("# TYPE tablog_answers ").count(), 1);
-    }
-
-    #[test]
-    fn worker_export_labels_last_sample_per_worker() {
-        let s = |worker: usize, t_ns: u64, answers: usize| CounterSample {
-            t_ns,
-            worklist: 2,
-            expands: 1,
-            returns: 1,
-            tables: 3,
-            answers,
-            table_bytes: 256,
-            msgs_sent: 4,
-            worker: Some(worker),
-        };
-        let untagged = CounterSample::default();
-        let text = openmetrics_workers(&[s(1, 10, 5), untagged, s(0, 20, 7), s(1, 30, 9)]);
-        validate_openmetrics(&text).expect("valid OpenMetrics");
-        // Last sample per worker wins; worker labels are sorted.
-        assert!(
-            text.contains("tablog_worker_answers{worker=\"0\"} 7\n"),
-            "{text}"
-        );
-        assert!(
-            text.contains("tablog_worker_answers{worker=\"1\"} 9\n"),
-            "{text}"
-        );
-        assert!(
-            text.contains("tablog_worker_msgs_sent{worker=\"1\"} 4\n"),
-            "{text}"
-        );
-        assert!(
-            text.contains("tablog_worker_table_bytes{worker=\"0\"} 256\n"),
-            "{text}"
-        );
-        // The untagged sequential sample contributes nothing.
-        assert!(!text.contains("worker=\"\""), "{text}");
-        assert!(text.ends_with("# EOF\n"));
     }
 
     #[test]

@@ -66,9 +66,6 @@ pub struct SpanEvent<'a> {
     pub pred: Option<Functor>,
     /// Monotonic timestamp from [`now_ns`].
     pub t_ns: u64,
-    /// Parallel worker the span belongs to, if the emitter runs inside a
-    /// parallel evaluation (`None` for sequential / analyzer spans).
-    pub worker: Option<usize>,
 }
 
 /// Tracks the current span stack for one emitting component and sends
@@ -81,7 +78,6 @@ pub struct SpanEvent<'a> {
 pub struct SpanEmitter {
     root_parent: Option<SpanId>,
     stack: Vec<SpanId>,
-    worker: Option<usize>,
 }
 
 impl SpanEmitter {
@@ -95,15 +91,7 @@ impl SpanEmitter {
         SpanEmitter {
             root_parent: parent,
             stack: Vec::new(),
-            worker: None,
         }
-    }
-
-    /// Tags every span this emitter opens from now on with a parallel
-    /// worker id. Worker machines call this once, right after they are
-    /// handed their [`crate::sink::TraceSink`].
-    pub fn set_worker(&mut self, worker: usize) {
-        self.worker = Some(worker);
     }
 
     /// The span new children would be parented under.
@@ -125,7 +113,6 @@ impl SpanEmitter {
             name,
             pred,
             t_ns: now_ns(),
-            worker: self.worker,
         });
         self.stack.push(id);
         id
@@ -147,7 +134,6 @@ struct RawSpan {
     pred: Option<Functor>,
     start_ns: u64,
     end_ns: Option<u64>,
-    worker: Option<usize>,
 }
 
 /// A [`TraceSink`] that retains every span (and ignores ordinary events),
@@ -192,7 +178,6 @@ impl TraceSink for SpanRecorder {
             pred: s.pred,
             start_ns: s.t_ns,
             end_ns: None,
-            worker: s.worker,
         });
     }
 
@@ -227,8 +212,6 @@ pub struct SpanNode {
     pub self_ns: u64,
     /// Child node indices, in emission (chronological) order.
     pub children: Vec<usize>,
-    /// Parallel worker the span was emitted by, if any.
-    pub worker: Option<usize>,
 }
 
 /// Aggregated time for one rollup bucket.
@@ -275,7 +258,6 @@ impl SpanTree {
                     total_ns: end - s.start_ns,
                     self_ns: end - s.start_ns,
                     children: Vec::new(),
-                    worker: s.worker,
                 }
             })
             .collect();
@@ -494,21 +476,6 @@ mod tests {
         let grouped = tree.rollup_by_group(&|_| Some("one-scc".to_string()));
         assert_eq!(grouped.len(), 1);
         assert_eq!(grouped[0].1.count, 3);
-    }
-
-    #[test]
-    fn worker_tag_flows_from_emitter_to_tree() {
-        let rec = SpanRecorder::new();
-        let mut em = SpanEmitter::new();
-        em.enter(&rec, "evaluate", None);
-        em.exit(&rec);
-        let mut tagged = SpanEmitter::new();
-        tagged.set_worker(3);
-        tagged.enter(&rec, "worker_3", None);
-        tagged.exit(&rec);
-        let tree = rec.snapshot();
-        assert_eq!(tree.nodes[0].worker, None);
-        assert_eq!(tree.nodes[1].worker, Some(3));
     }
 
     #[test]
