@@ -4,7 +4,7 @@
 //! PR 4; the methods here extend [`Machine`].
 
 use crate::error::EngineError;
-use crate::machine::{Machine, Task};
+use crate::machine::{Cont, Machine, Task};
 use crate::provenance::{AnswerRef, NodeProv};
 use crate::table::NODE_OVERHEAD;
 use tablog_term::{Bindings, CanonicalTerm, Term};
@@ -19,12 +19,10 @@ impl Machine<'_> {
             let c = &self.consumers[cid];
             (c.node.subgoal, c.node.split, c.node.canon, c.watched)
         };
-        let mut b = Bindings::new();
-        let ts = self.arena.instantiate(&canon, &mut b);
-        let (template, goals) = ts.split_at(split);
-        let (g, rest) = goals
-            .split_first()
-            .expect("consumer node has a selected goal");
+        // Only the selected goal and the answer are instantiated; the
+        // resolvent is canonicalized from the rest of the node's ids.
+        let mut b = self.bindings();
+        let (g, base) = self.arena.instantiate_member(&canon, split, &mut b);
         let answer = self.subgoals[watched].answers[aidx];
         let ans_args = self.arena.instantiate(&answer, &mut b);
         let ok = g
@@ -47,9 +45,15 @@ impl Machine<'_> {
                     answer: aidx,
                 });
             }
-            let n = self.make_node(subgoal, split, &b, template, rest, prov);
-            self.push(Task::Expand(n));
+            let k = Cont {
+                subgoal,
+                split,
+                canon,
+                base,
+            };
+            self.resume(k, &b, &[], prov);
         }
+        self.recycle(b);
         Ok(())
     }
 

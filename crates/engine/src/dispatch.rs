@@ -5,21 +5,17 @@
 
 use crate::builtins::BuiltinImpl;
 use crate::error::EngineError;
-use crate::machine::{Machine, Task};
+use crate::machine::{Cont, Machine};
 use crate::provenance::{ClauseRef, NodeProv};
 use tablog_term::{Bindings, Functor, Term, Var};
 use tablog_trace::TraceEvent;
 
 impl Machine<'_> {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn solve_builtin(
         &mut self,
         imp: BuiltinImpl,
-        sid: usize,
-        split: usize,
-        template: &[Term],
+        k: Cont,
         g: &Term,
-        rest: &[Term],
         b: &mut Bindings,
         prov: Option<Box<NodeProv>>,
     ) -> Result<(), EngineError> {
@@ -27,8 +23,7 @@ impl Machine<'_> {
             BuiltinImpl::Det(f) => {
                 let m = b.mark();
                 if f(b, g.args())? {
-                    let n = self.make_node(sid, split, b, template, rest, prov);
-                    self.push(Task::Expand(n));
+                    self.resume(k, b, &[], prov);
                 }
                 b.undo_to(m);
                 Ok(())
@@ -43,8 +38,7 @@ impl Machine<'_> {
                         .zip(tuple.iter())
                         .all(|(x, y)| self.unif(b, x, y));
                     if ok {
-                        let n = self.make_node(sid, split, b, template, rest, prov.clone());
-                        self.push(Task::Expand(n));
+                        self.resume(k, b, &[], prov.clone());
                     }
                     b.undo_to(m);
                 }
@@ -53,15 +47,11 @@ impl Machine<'_> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn solve_sld(
         &mut self,
         f: Functor,
-        sid: usize,
-        split: usize,
-        template: &[Term],
+        k: Cont,
         g: &Term,
-        rest: &[Term],
         b: &mut Bindings,
         prov: Option<Box<NodeProv>>,
     ) -> Result<(), EngineError> {
@@ -88,8 +78,7 @@ impl Machine<'_> {
                 .zip(head.args().iter())
                 .all(|(x, y)| self.unif(b, x, y));
             if ok {
-                let mut goals: Vec<Term> = clause.body.iter().map(&mut rename).collect();
-                goals.extend_from_slice(rest);
+                let goals: Vec<Term> = clause.body.iter().map(&mut rename).collect();
                 // SLD resolution is inlined into the derivation node, so
                 // the resolved clause joins the node's own trail.
                 let mut prov = prov.clone();
@@ -99,8 +88,7 @@ impl Machine<'_> {
                         index: cidx,
                     });
                 }
-                let n = self.make_node(sid, split, b, template, &goals, prov);
-                self.push(Task::Expand(n));
+                self.resume(k, b, &goals, prov);
             }
             b.undo_to(m);
         }

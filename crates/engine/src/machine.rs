@@ -8,7 +8,9 @@
 //! register the node as a consumer of the callee's table; every answer that
 //! table ever acquires is returned to every consumer exactly once. When the
 //! worklist drains, all tables are complete: for definite programs, SLG
-//! completion needs no incremental SCC bookkeeping.
+//! completion needs no incremental SCC bookkeeping. A step instantiates
+//! only the selected goal; its resolvents are canonicalized straight from
+//! the node's arena ids ([`Cont`], [`Machine::resume`]).
 //!
 //! The machine owns two pieces of session state factored out in PR 4:
 //!
@@ -57,6 +59,20 @@ pub(crate) struct Node {
     pub(crate) prov: Option<Box<NodeProv>>,
 }
 
+/// Where a step's resolvents go: the expanded node, named by its subgoal,
+/// canonical tuple and template length `split`, with the selected goal (the
+/// member at `split`, if any) instantiated so that canonical variable `k`
+/// is `Var(base + k)`. A resolvent replaces the selected goal with new goals
+/// and is canonicalized straight from `canon`'s arena ids
+/// ([`Machine::resume`]), so the rest of the node is never instantiated.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Cont {
+    pub(crate) subgoal: usize,
+    pub(crate) canon: CanonicalTerm,
+    pub(crate) split: usize,
+    pub(crate) base: Var,
+}
+
 #[derive(Clone, Debug)]
 pub(crate) struct Consumer {
     pub(crate) node: Node,
@@ -97,6 +113,9 @@ pub(crate) struct Machine<'e> {
     /// canonical-term copies are stored. Membership is checked *before*
     /// the task is queued, so it is strategy-independent.
     seen_nodes: FastSet<(usize, usize, TermId)>,
+    /// The binding store of the step in progress, kept between steps so
+    /// its buffers are allocated once per run; see [`Machine::bindings`].
+    spare_bindings: Bindings,
     pub(crate) stats: TableStats,
     /// Event observer, `None` unless `EngineOptions::trace` is set. Events
     /// are only constructed under `if let Some(..)`, so the disabled path
@@ -157,6 +176,7 @@ impl<'e> Machine<'e> {
             consumers: Vec::new(),
             worklist: Worklist::new(opts.scheduling),
             seen_nodes: FastSet::default(),
+            spare_bindings: Bindings::new(),
             stats: TableStats::default(),
             trace: opts.trace.as_deref(),
             spans: (opts.record_spans && opts.trace.is_some())
@@ -545,8 +565,7 @@ impl<'e> Machine<'e> {
             if let Task::Expand(n) = task {
                 // `canon` packs template ++ goals; length `split` means no
                 // goals remain and expansion is exactly the answer insert.
-                let mut b = Bindings::new();
-                if self.arena.instantiate(&n.canon, &mut b).len() == n.split {
+                if self.arena.tuple_len(&n.canon) == n.split {
                     self.expand(n)?;
                 }
             }
@@ -563,55 +582,68 @@ impl<'e> Machine<'e> {
         self.opts.record_provenance.then(Box::<NodeProv>::default)
     }
 
-    pub(crate) fn make_node(
+    /// Schedules the resolvent of `k`'s node with its selected goal replaced
+    /// by `goals`, under `b`.
+    pub(crate) fn resume(
         &mut self,
-        subgoal: usize,
-        split: usize,
+        k: Cont,
         b: &Bindings,
-        template: &[Term],
         goals: &[Term],
         prov: Option<Box<NodeProv>>,
-    ) -> Node {
-        Node {
-            subgoal,
-            split,
-            canon: self.arena.canonicalize2(b, template, goals),
+    ) {
+        let canon = self
+            .arena
+            .canonicalize_resolvent(b, &k.canon, k.base, k.split, goals);
+        self.push(Task::Expand(Node {
+            subgoal: k.subgoal,
+            split: k.split,
+            canon,
             prov,
-        }
+        }));
+    }
+
+    /// An empty binding store for one step, reusing the previous step's
+    /// buffers; hand it back with [`Machine::recycle`].
+    pub(crate) fn bindings(&mut self) -> Bindings {
+        let mut b = std::mem::take(&mut self.spare_bindings);
+        b.clear();
+        b
+    }
+
+    pub(crate) fn recycle(&mut self, b: Bindings) {
+        self.spare_bindings = b;
     }
 
     pub(crate) fn expand(&mut self, node: Node) -> Result<(), EngineError> {
-        let mut b = Bindings::new();
-        let ts = self.arena.instantiate(&node.canon, &mut b);
-        let (template, goals) = ts.split_at(node.split);
-        let Some((g, rest)) = goals.split_first() else {
-            let ans = self.arena.canonicalize(&b, template);
-            self.add_answer(node.subgoal, ans, node.prov);
+        if self.arena.tuple_len(&node.canon) == node.split {
+            // No goals left: the canonical node is exactly its template,
+            // which is the answer.
+            self.add_answer(node.subgoal, node.canon, node.prov);
             return Ok(());
+        }
+        let mut b = self.bindings();
+        let (g, base) = self
+            .arena
+            .instantiate_member(&node.canon, node.split, &mut b);
+        let k = Cont {
+            subgoal: node.subgoal,
+            canon: node.canon,
+            split: node.split,
+            base,
         };
-        self.solve_goal(
-            node.subgoal,
-            node.split,
-            template,
-            g,
-            rest,
-            &mut b,
-            node.prov,
-        )
+        let r = self.solve_goal(k, &g, &mut b, node.prov);
+        self.recycle(b);
+        r
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn solve_goal(
         &mut self,
-        sid: usize,
-        split: usize,
-        template: &[Term],
+        k: Cont,
         g: &Term,
-        rest: &[Term],
         b: &mut Bindings,
         prov: Option<Box<NodeProv>>,
     ) -> Result<(), EngineError> {
-        // `expand` hands over a freshly instantiated node: `b` holds fresh
+        // `expand` hands over a freshly instantiated goal: `b` holds fresh
         // variables but no bindings yet, so `g` is already resolved.
         debug_assert_eq!(b.mark(), Bindings::new().mark(), "goal under bindings");
         let f = match g.functor() {
@@ -621,7 +653,7 @@ impl<'e> Machine<'e> {
         let args = g.args();
         let Some(ctl) = control(f) else {
             if let Some(imp) = lookup_builtin(f) {
-                return self.solve_builtin(imp, sid, split, template, g, rest, b, prov);
+                return self.solve_builtin(imp, k, g, b, prov);
             }
             if !self.db.is_defined(f) {
                 return match self.opts.unknown {
@@ -630,37 +662,27 @@ impl<'e> Machine<'e> {
                 };
             }
             return if self.db.is_tabled(f) {
-                self.solve_tabled(f, sid, split, template, g, rest, b, prov)
+                self.solve_tabled(f, k, g, b, prov)
             } else {
-                self.solve_sld(f, sid, split, template, g, rest, b, prov)
+                self.solve_sld(f, k, g, b, prov)
             };
         };
         match ctl {
-            Control::Conj | Control::IfThen => {
-                let mut goals = vec![args[0].clone(), args[1].clone()];
-                goals.extend_from_slice(rest);
-                let n = self.make_node(sid, split, b, template, &goals, prov);
-                self.push(Task::Expand(n));
-            }
+            Control::Conj | Control::IfThen => self.resume(k, b, &args[..2], prov),
             Control::Disj => {
                 // (C -> T ; E) gets soft if-then-else semantics:
                 // (C, T) or (\+ C, E).
                 let syms = syms();
-                let (left, right): (Vec<Term>, Vec<Term>) = match &args[0] {
-                    Term::Struct(s, ite) if *s == syms.arrow && ite.len() == 2 => (
-                        vec![ite[0].clone(), ite[1].clone()],
-                        vec![
-                            Term::Struct(syms.naf, vec![ite[0].clone()].into()),
-                            args[1].clone(),
-                        ],
-                    ),
-                    _ => (vec![args[0].clone()], vec![args[1].clone()]),
-                };
-                for branch in [left, right] {
-                    let mut goals = branch;
-                    goals.extend_from_slice(rest);
-                    let n = self.make_node(sid, split, b, template, &goals, prov.clone());
-                    self.push(Task::Expand(n));
+                match &args[0] {
+                    Term::Struct(s, ite) if *s == syms.arrow && ite.len() == 2 => {
+                        self.resume(k, b, ite, prov.clone());
+                        let naf = Term::Struct(syms.naf, vec![ite[0].clone()].into());
+                        self.resume(k, b, &[naf, args[1].clone()], prov);
+                    }
+                    _ => {
+                        self.resume(k, b, &args[..1], prov.clone());
+                        self.resume(k, b, &args[1..2], prov);
+                    }
                 }
             }
             Control::Not => {
@@ -669,35 +691,22 @@ impl<'e> Machine<'e> {
                 // empty answer set proves nothing, so the continuation must
                 // not be scheduled on the strength of it.
                 if fails && self.truncated.is_none() {
-                    let n = self.make_node(sid, split, b, template, rest, prov);
-                    self.push(Task::Expand(n));
+                    self.resume(k, b, &[], prov);
                 }
             }
             // Cut is approximated by `true`: sound (a superset of solutions)
             // for the minimal-model analyses this engine serves; see README.
-            Control::True => {
-                let n = self.make_node(sid, split, b, template, rest, prov);
-                self.push(Task::Expand(n));
-            }
-            Control::Call => {
-                let mut goals = vec![args[0].clone()];
-                goals.extend_from_slice(rest);
-                let n = self.make_node(sid, split, b, template, &goals, prov);
-                self.push(Task::Expand(n));
-            }
+            Control::True => self.resume(k, b, &[], prov),
+            Control::Call => self.resume(k, b, &args[..1], prov),
         }
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn solve_tabled(
         &mut self,
         f: Functor,
-        sid: usize,
-        split: usize,
-        template: &[Term],
+        k: Cont,
         g: &Term,
-        rest: &[Term],
         b: &mut Bindings,
         prov: Option<Box<NodeProv>>,
     ) -> Result<(), EngineError> {
@@ -737,12 +746,17 @@ impl<'e> Machine<'e> {
             key = abstracted;
         }
         let watched = self.find_or_create_subgoal(f, key)?;
-        // Reconstitute this node (with the tabled goal still selected) as a
-        // consumer of the callee's table. The trail parks on the consumer;
-        // each answer return extends a copy of it with the consumed answer.
-        let mut goals = vec![g.clone()];
-        goals.extend_from_slice(rest);
-        let node = self.make_node(sid, split, b, template, &goals, prov);
+        // The expanded node itself (with the tabled goal still selected)
+        // becomes a consumer of the callee's table: `b` holds no bindings,
+        // so its resolvent would be the node again. The trail parks on the
+        // consumer; each answer return extends a copy of it with the
+        // consumed answer.
+        let node = Node {
+            subgoal: k.subgoal,
+            split: k.split,
+            canon: k.canon,
+            prov,
+        };
         let cid = self.consumers.len();
         // Back-fill the answers the table already holds and park the cursor
         // at the high-water mark; `add_answer` advances it from there, so
@@ -785,8 +799,16 @@ impl<'e> Machine<'e> {
         self.lookup.insert((f, key.root_id()), sid);
         // Spawn generator nodes: one per resolving program clause. Each
         // starts a fresh derivation trail rooted at its clause — the answers
-        // it eventually produces are supported by that clause.
+        // it eventually produces are supported by that clause. A generator
+        // resolvent is the call key (the template; `split` is past its last
+        // member, so none is replaced) followed by the clause body.
         let mut b = Bindings::new();
+        let k = Cont {
+            subgoal: sid,
+            canon: key,
+            split: f.arity,
+            base: Var(b.len() as u32),
+        };
         let call_args = self.arena.instantiate(&key, &mut b);
         let db = self.db;
         let spans_on = self.spans.is_some();
@@ -817,8 +839,7 @@ impl<'e> Machine<'e> {
                         premises: Vec::new(),
                     })
                 });
-                let n = self.make_node(sid, f.arity, &b, &call_args, &goals, prov);
-                self.push(Task::Expand(n));
+                self.resume(k, &b, &goals, prov);
             }
             b.undo_to(m);
         }

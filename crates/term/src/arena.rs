@@ -38,6 +38,23 @@
 //! variables are numbered by scanning a short vector, so canonicalizing a
 //! resolvent whose subterms are all interned already allocates nothing.
 //!
+//! Leaves — most of the nodes a canonicalization visits — bypass the
+//! structural hash through *leaf tables*: canonical variable number → id in
+//! a dense vector, atom and integer → id in small maps. The tables fill as
+//! the arena first interns each leaf, through the ordinary hash-cons path,
+//! so they grow with the arena and leave `TermId` order and hashes as they
+//! would be without them.
+//!
+//! A derivation step does not re-walk what it does not change.
+//! [`TermArena::instantiate_member`] materializes one member of a tuple
+//! (the selected goal), and [`TermArena::canonicalize_resolvent`]
+//! canonicalizes the resolvent — the other members around the new goals —
+//! straight from the tuple's ids under the step's bindings: a ground node
+//! is its own canonical form (O(1)), a variable is looked up in the
+//! bindings, and only the new goals and bound values are walked as
+//! [`Term`]s. The id walk visits nodes in the order the term walk would,
+//! so both mint the same ids.
+//!
 //! Arenas are *session-scoped*: each engine run owns a [`TermArena`], so the
 //! interned forest is dropped with the session instead of accumulating for
 //! the life of the thread (the pre-PR-4 `thread_local!` design leaked every
@@ -210,6 +227,12 @@ struct Arena {
     /// rest of the bucket is chained through [`Node::next`]. Collisions are
     /// resolved by a shallow shape comparison (children by id).
     heads: HashMap<u64, u32, BuildHasherDefault<PassThroughHasher>>,
+    /// Leaf tables, filled as leaves are first interned: canonical variable
+    /// number → id (dense, [`NIL`] for a number not yet seen), and atom or
+    /// integer → id. A hit skips the structural hash and the chain walk.
+    var_ids: Vec<u32>,
+    atom_ids: FastMap<Sym, TermId>,
+    int_ids: FastMap<i64, TermId>,
     scratch: Scratch,
 }
 
@@ -325,6 +348,40 @@ impl Arena {
         TermId(id)
     }
 
+    /// Canonical variable `n`, through the direct table.
+    fn var_leaf(&mut self, n: u32) -> TermId {
+        let i = n as usize;
+        match self.var_ids.get(i) {
+            Some(&id) if id != NIL => TermId(id),
+            _ => {
+                let id = self.intern(Shape::Var(n));
+                if self.var_ids.len() <= i {
+                    self.var_ids.resize(i + 1, NIL);
+                }
+                self.var_ids[i] = id.0;
+                id
+            }
+        }
+    }
+
+    fn atom_leaf(&mut self, s: Sym) -> TermId {
+        if let Some(&id) = self.atom_ids.get(&s) {
+            return id;
+        }
+        let id = self.intern(Shape::Atom(s));
+        self.atom_ids.insert(s, id);
+        id
+    }
+
+    fn int_leaf(&mut self, i: i64) -> TermId {
+        if let Some(&id) = self.int_ids.get(&i) {
+            return id;
+        }
+        let id = self.intern(Shape::Int(i));
+        self.int_ids.insert(i, id);
+        id
+    }
+
     /// Summed tree bytes, conjoined groundness and maximum height of `kids`.
     fn summarize(&self, kids: &[TermId]) -> (usize, bool, u32) {
         kids.iter()
@@ -346,10 +403,10 @@ impl Arena {
         match b.walk(t) {
             Term::Var(v) => {
                 let n = sc.number(*v);
-                self.intern(Shape::Var(n))
+                self.var_leaf(n)
             }
-            Term::Atom(s) => self.intern(Shape::Atom(*s)),
-            Term::Int(i) => self.intern(Shape::Int(*i)),
+            Term::Atom(s) => self.atom_leaf(*s),
+            Term::Int(i) => self.int_leaf(*i),
             Term::Struct(s, args) => {
                 let base = sc.kids.len();
                 for a in args.iter() {
@@ -360,6 +417,51 @@ impl Arena {
                 sc.kids.truncate(base);
                 id
             }
+        }
+    }
+
+    /// [`Arena::canon`] for an interned node whose canonical variable `k`
+    /// stands for `Var(base + k)` under `b`: a ground node is its own
+    /// canonical form, a variable resolves through `b`, and only a bound
+    /// value is walked as a [`Term`]. Visits nodes in the order `canon`
+    /// would visit the instantiated term, so a miss mints the same id.
+    fn canon_id(&mut self, b: &Bindings, id: TermId, base: u32, sc: &mut Scratch) -> TermId {
+        let n = self.node(id);
+        if n.term.is_some() {
+            return id;
+        }
+        match &n.kind {
+            NodeKind::Var(k) => {
+                let v = Var(base + *k);
+                match b.lookup(v) {
+                    Some(t) => self.canon(b, t, sc),
+                    None => {
+                        let n = sc.number(v);
+                        self.var_leaf(n)
+                    }
+                }
+            }
+            NodeKind::Struct(s, kids) => {
+                let (s, arity) = (*s, kids.len());
+                let top = sc.kids.len();
+                for i in 0..arity {
+                    let kid = self.struct_child(id, i);
+                    let kid = self.canon_id(b, kid, base, sc);
+                    sc.kids.push(kid);
+                }
+                let id = self.intern(Shape::Struct(s, &sc.kids[top..]));
+                sc.kids.truncate(top);
+                id
+            }
+            // Atom/Int are ground (returned above); tuples never nest.
+            _ => unreachable!("uncached leaf in arena"),
+        }
+    }
+
+    fn struct_child(&self, id: TermId, i: usize) -> TermId {
+        match &self.node(id).kind {
+            NodeKind::Struct(_, kids) => kids[i],
+            _ => unreachable!("not a struct node"),
         }
     }
 
@@ -451,12 +553,54 @@ impl Arena {
         b: &Bindings,
         ts: impl IntoIterator<Item = &'t Term>,
     ) -> CanonicalTerm {
-        let mut sc = std::mem::take(&mut self.scratch);
-        sc.clear();
+        let mut sc = self.take_scratch();
         for t in ts {
             let id = self.canon(b, t, &mut sc);
             sc.kids.push(id);
         }
+        self.finish_tuple(arena_id, sc)
+    }
+
+    /// Canonicalizes the tuple `root` with its member `split` (if any)
+    /// replaced by `goals`; see [`TermArena::canonicalize_resolvent`].
+    fn canonicalize_resolvent(
+        &mut self,
+        arena_id: u32,
+        b: &Bindings,
+        root: TermId,
+        base: u32,
+        split: usize,
+        goals: &[Term],
+    ) -> CanonicalTerm {
+        let mut sc = self.take_scratch();
+        let len = self.tuple_children(root).len();
+        debug_assert!(split <= len, "split {split} past a {len}-member tuple");
+        for i in 0..split {
+            let m = self.tuple_children(root)[i];
+            let id = self.canon_id(b, m, base, &mut sc);
+            sc.kids.push(id);
+        }
+        for g in goals {
+            let id = self.canon(b, g, &mut sc);
+            sc.kids.push(id);
+        }
+        for i in (split + 1).min(len)..len {
+            let m = self.tuple_children(root)[i];
+            let id = self.canon_id(b, m, base, &mut sc);
+            sc.kids.push(id);
+        }
+        self.finish_tuple(arena_id, sc)
+    }
+
+    fn take_scratch(&mut self) -> Scratch {
+        let mut sc = std::mem::take(&mut self.scratch);
+        sc.clear();
+        sc
+    }
+
+    /// Interns the tuple of the member ids on `sc.kids` and hands the
+    /// scratch buffers back.
+    fn finish_tuple(&mut self, arena_id: u32, sc: Scratch) -> CanonicalTerm {
         let nvars = sc.vars.len() as u32;
         let root = self.intern(Shape::Tuple(&sc.kids));
         self.scratch = sc;
@@ -571,6 +715,47 @@ impl TermArena {
         self.check(c);
         self.inner
             .tuple_instantiate(c.root_id(), c.num_vars() as u32, b)
+    }
+
+    /// Instantiates only member `i` of `c`. The fresh block for all of
+    /// `c`'s variables is allocated in `b` and its first variable returned,
+    /// so canonical variable `k` of every member stands for `base + k` —
+    /// the layout [`TermArena::canonicalize_resolvent`] reads the other
+    /// members through.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` has no member `i`.
+    pub fn instantiate_member(&self, c: &CanonicalTerm, i: usize, b: &mut Bindings) -> (Term, Var) {
+        self.check(c);
+        let base = b.fresh_block(c.num_vars());
+        let member = self.inner.tuple_children(c.root_id())[i];
+        (self.inner.instantiate_node(member, base.0), base)
+    }
+
+    /// Canonicalizes a resolvent of `c` without instantiating it: the
+    /// members before `split`, then `goals`, then the members after
+    /// `split`, under `b` — the member at `split` (the selected goal), if
+    /// there is one, is replaced by `goals`. `c`'s canonical variable `k`
+    /// stands for `Var(base + k)`, as laid out by
+    /// [`TermArena::instantiate_member`] or [`TermArena::instantiate`].
+    ///
+    /// The result, and every id minted on the way, equals
+    /// `canonicalize2(b, &inst[..split], goals ++ inst[split + 1..])` with
+    /// `inst` that instantiation of `c`, but only `goals` and the values `b`
+    /// binds `c`'s variables to are walked as terms: a ground member or
+    /// subterm of `c` is returned as its own id in O(1).
+    pub fn canonicalize_resolvent(
+        &mut self,
+        b: &Bindings,
+        c: &CanonicalTerm,
+        base: Var,
+        split: usize,
+        goals: &[Term],
+    ) -> CanonicalTerm {
+        self.check(c);
+        self.inner
+            .canonicalize_resolvent(self.id, b, c.root_id(), base.0, split, goals)
     }
 
     /// Estimated heap footprint in bytes of an *unshared* copy of `c`,

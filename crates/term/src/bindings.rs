@@ -35,6 +35,13 @@ impl Bindings {
         self.cells.is_empty()
     }
 
+    /// Forgets every variable and binding, keeping the allocated capacity
+    /// for reuse.
+    pub fn clear(&mut self) {
+        self.cells.clear();
+        self.trail.clear();
+    }
+
     /// Allocates a fresh, unbound variable.
     pub fn fresh_var(&mut self) -> Var {
         let v = Var(self.cells.len() as u32);

@@ -156,9 +156,9 @@ pub fn canonicalize(b: &Bindings, ts: &[Term]) -> CanonicalTerm {
 }
 
 /// Canonicalizes the concatenation of two tuples without allocating the
-/// concatenated slice. Equivalent to `canonicalize(b, [xs ++ ys])`; used on
-/// the engine's node-key hot path (via the session arena's
-/// [`crate::TermArena::canonicalize2`]).
+/// concatenated slice. Equivalent to `canonicalize(b, [xs ++ ys])`. The
+/// engine's derivation steps canonicalize their resolvents from arena ids
+/// instead ([`crate::TermArena::canonicalize_resolvent`]).
 pub fn canonicalize2(b: &Bindings, xs: &[Term], ys: &[Term]) -> CanonicalTerm {
     arena::canonicalize2_in(b, xs, ys)
 }

@@ -66,6 +66,8 @@
 //! * `--progress` — live single-line status on stderr (steps, answers,
 //!   tables, table bytes), rewritten in place; automatically off when
 //!   stderr is not a terminal.
+//!
+//! An unknown `--flag` is an error naming it, followed by the usage.
 
 use std::fs::File;
 use std::io::{BufWriter, IsTerminal, Write};
@@ -303,8 +305,8 @@ fn extract_obs(args: &[String]) -> Result<(Vec<String>, Obs), String> {
                 let d = it.next().ok_or("--domain requires a backend name")?;
                 domain = d.parse()?;
             }
-            // Unknown flags are otherwise ignored; a worker count would
-            // silently do nothing, so say which strategies exist instead.
+            // Unknown flags fail in `check_flags`; a worker count gets its
+            // own message naming the strategies that exist.
             "--threads" => {
                 return Err("unknown flag --threads: evaluation is single-threaded \
                      (--scheduler depth-first or breadth-first; --jobs N for many files)"
@@ -346,27 +348,55 @@ fn extract_obs(args: &[String]) -> Result<(Vec<String>, Obs), String> {
     ))
 }
 
+/// The command flags that take a value (`--flag value`). The global ones
+/// (`--trace`, `--scheduler`, `--domain`, `--jobs`) are split off first by
+/// [`extract_obs`].
+const VALUED: [&str; 16] = [
+    "--entry",
+    "--k",
+    "--depth",
+    "--dot",
+    "--analysis",
+    "--top",
+    "--folded",
+    "--out",
+    "--max-time-regress",
+    "--max-bytes-regress",
+    "--max-heap-regress",
+    "--interval",
+    "--metrics",
+    "--max-steps",
+    "--deadline",
+    "--max-table-bytes",
+];
+
+/// The flags that take no value.
+const BARE: [&str; 6] = [
+    "--json",
+    "--profile",
+    "--progress",
+    "--direct",
+    "--counters",
+    "--help",
+];
+
+/// Fails on the first `--flag` that is neither in [`VALUED`] nor in
+/// [`BARE`], so a misspelt flag is an error instead of a silent no-op.
+fn check_flags(args: &[String]) -> Result<(), String> {
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if VALUED.contains(&a.as_str()) {
+            it.next();
+        } else if a.starts_with("--") && !BARE.contains(&a.as_str()) {
+            return Err(format!("unknown flag {a}\n{}", usage()));
+        }
+    }
+    Ok(())
+}
+
 /// Positional (non-flag) arguments: skips `--flag value` pairs for the
 /// value-taking flags and bare `--flags` for the rest.
 fn positional(args: &[String]) -> Vec<&String> {
-    const VALUED: [&str; 16] = [
-        "--entry",
-        "--k",
-        "--depth",
-        "--dot",
-        "--analysis",
-        "--top",
-        "--folded",
-        "--out",
-        "--max-time-regress",
-        "--max-bytes-regress",
-        "--max-heap-regress",
-        "--interval",
-        "--metrics",
-        "--max-steps",
-        "--deadline",
-        "--max-table-bytes",
-    ];
     let mut out = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -381,6 +411,7 @@ fn positional(args: &[String]) -> Vec<&String> {
 
 fn run(args: &[String]) -> Result<(), String> {
     let (args, obs) = extract_obs(args)?;
+    check_flags(&args)?;
     let result = dispatch(&args, &obs);
     if let Some(p) = &obs.progress {
         p.flush(); // erase the status line before any final output

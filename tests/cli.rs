@@ -68,6 +68,29 @@ fn ground_reports_groundness() {
 }
 
 #[test]
+fn misspelt_flags_fail_naming_the_flag_with_usage() {
+    let f = temp_file(
+        "app_flags.pl",
+        "app([], Y, Y).\napp([X|Xs], Y, [X|Z]) :- app(Xs, Y, Z).",
+    );
+    let file = f.to_str().unwrap();
+    // `--entyr` used to run an open-call analysis as if it were absent.
+    let (out, err, ok) = tablog(&["ground", file, "--entyr", "app(g, g, f)"]);
+    assert!(!ok, "{out}");
+    assert!(err.contains("unknown flag --entyr"), "{err}");
+    assert!(err.contains("usage"), "{err}");
+    assert!(out.is_empty(), "{out}");
+    let g = temp_file("graph_flags.pl", GRAPH);
+    let (out, err, ok) = tablog(&["query", g.to_str().unwrap(), "path(a, X)", "--jsn"]);
+    assert!(!ok, "{out}");
+    assert!(err.contains("unknown flag --jsn"), "{err}");
+    assert!(err.contains("usage"), "{err}");
+    // The correctly spelt flags still run.
+    let (_, err, ok) = tablog(&["ground", file, "--entry", "app(g, g, f)"]);
+    assert!(ok, "{err}");
+}
+
+#[test]
 fn ground_with_entry_and_direct_agree_in_output_format() {
     let f = temp_file(
         "qs.pl",

@@ -6,7 +6,9 @@
 //! materialized terms — and both must match an independent reference model
 //! of the canonical form, whose hash is the arena's documented splitmix
 //! formula. Variants must share one id, and interning must be deterministic
-//! across fresh arenas.
+//! across fresh arenas. Canonicalizing a resolvent straight from a node's
+//! arena ids must give exactly what instantiating the node and
+//! canonicalizing the instantiated terms gives, id for id.
 
 use proptest::prelude::*;
 use std::hash::{BuildHasher, BuildHasherDefault};
@@ -135,8 +137,159 @@ fn check_against_reference(arena: &mut TermArena, b: &Bindings, ts: &[Term]) -> 
     c
 }
 
+/// A canonical tuple to resolve: one to three small members, or a wide
+/// member over more than 32 distinct variables (the indexed numbering).
+fn arb_node_tuple() -> impl Strategy<Value = Vec<Term>> {
+    let narrow = prop::collection::vec(arb_term(NVARS), 1..4);
+    let wide = (
+        prop::collection::vec(0u32..60, 0..30),
+        prop::collection::vec(arb_term(NVARS), 0..2),
+    )
+        .prop_map(|(picks, mut rest)| {
+            // Every variable 0..35 occurs, interleaved with repeats.
+            let args = (0..35).chain(picks).map(|v| var(Var(v))).collect();
+            rest.insert(0, structure("w", args));
+            rest
+        });
+    prop_oneof![narrow.clone(), narrow, wide]
+}
+
+/// How one variable of the binding store is bound.
+#[derive(Clone, Debug)]
+enum Bind {
+    Free,
+    /// To a term over strictly later variables (non-ground, or ground when
+    /// the term has no variables).
+    Term(Term),
+    /// To a ground term.
+    Ground(Term),
+    /// To a later variable: binding chains.
+    Chain(u32),
+    /// To `f(V, V)` for a later `V`: repeated variables.
+    Repeat(u32),
+}
+
+/// Upper bound on the variables of one case's binding store.
+const MAX_STORE: usize = 80;
+
+fn arb_binds() -> impl Strategy<Value = Vec<Bind>> {
+    let bind = prop_oneof![
+        Just(Bind::Free),
+        Just(Bind::Free),
+        arb_term(NVARS).prop_map(Bind::Term),
+        arb_term(NVARS).prop_map(Bind::Ground),
+        (0u32..1000).prop_map(Bind::Chain),
+        (0u32..1000).prop_map(Bind::Repeat),
+    ];
+    prop::collection::vec(bind, MAX_STORE..MAX_STORE + 1)
+}
+
+/// One resolvent to canonicalize: the node's tuple, variables allocated
+/// before the node's block, the selected position, the new goals and the
+/// bindings.
+type ResolventCase = (Vec<Term>, u32, usize, Vec<Term>, Vec<Bind>);
+
+fn arb_resolvent() -> impl Strategy<Value = ResolventCase> {
+    (
+        arb_node_tuple(),
+        0u32..3,
+        0usize..8,
+        prop::collection::vec(arb_term(12), 0..3),
+        arb_binds(),
+    )
+}
+
+/// Instantiates `c` after `offset` unrelated variables plus six fresh ones
+/// for the goals, and applies `binds`: variable `i` is only ever bound to a
+/// term over variables `> i`, so the store is acyclic. Returns the store,
+/// the node's first variable, its instantiation and the goals over the
+/// store's variables.
+fn bind_case(
+    arena: &TermArena,
+    c: &CanonicalTerm,
+    offset: u32,
+    goals: &[Term],
+    binds: &[Bind],
+) -> (Bindings, Var, Vec<Term>, Vec<Term>) {
+    let mut b = Bindings::new();
+    b.fresh_block(offset as usize);
+    let base = Var(b.len() as u32);
+    let inst = arena.instantiate(c, &mut b);
+    b.fresh_block(6);
+    let n = b.len() as u32;
+    assert!(n as usize <= MAX_STORE);
+    let onto = |t: &Term, lo: u32| t.map_vars(&mut |v| var(Var(lo + v.0 % (n - lo))));
+    let goals = goals.iter().map(|g| onto(g, 0)).collect();
+    for (i, bind) in binds.iter().take(n as usize).enumerate() {
+        let (i, later) = (i as u32, i as u32 + 1);
+        if later == n {
+            break;
+        }
+        let value = match bind {
+            Bind::Free => continue,
+            Bind::Term(t) => onto(t, later),
+            Bind::Ground(t) => t.map_vars(&mut |_| atom("g")),
+            Bind::Chain(j) => var(Var(later + j % (n - later))),
+            Bind::Repeat(j) => {
+                let v = var(Var(later + j % (n - later)));
+                structure("f", vec![v.clone(), v])
+            }
+        };
+        b.bind(Var(i), value);
+    }
+    (b, base, inst, goals)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// The id-level resolvent walk equals instantiating the node and
+    /// canonicalizing `inst[..split] ++ goals ++ inst[split + 1..]` — root
+    /// id, variable count and hash — and the reference model; instantiating
+    /// only the selected member gives that member. Two fresh arenas fed the
+    /// same sequence, one each way, mint identical ids.
+    #[test]
+    fn resolvent_from_ids_matches_instantiate_then_canonicalize(
+        cases in prop::collection::vec(arb_resolvent(), 1..4),
+    ) {
+        let empty = Bindings::new();
+        let mut by_ids = TermArena::new();
+        let mut by_terms = TermArena::new();
+        for (ts, offset, pick, goals, binds) in &cases {
+            let c = by_ids.canonicalize(&empty, ts);
+            let c2 = by_terms.canonicalize(&empty, ts);
+            prop_assert_eq!(c.root_id(), c2.root_id());
+            let split = pick % (ts.len() + 1);
+            let (b, base, inst, goals) = bind_case(&by_ids, &c, *offset, goals, binds);
+
+            if split < inst.len() {
+                let mut b2 = Bindings::new();
+                b2.fresh_block(*offset as usize);
+                let (member, base2) = by_ids.instantiate_member(&c, split, &mut b2);
+                prop_assert_eq!(base2, base);
+                prop_assert_eq!(&member, &inst[split]);
+                prop_assert_eq!(b2.len(), base.index() + c.num_vars());
+            }
+
+            let r = by_ids.canonicalize_resolvent(&b, &c, base, split, &goals);
+            let tail: Vec<Term> = goals
+                .iter()
+                .chain(inst.get(split + 1..).unwrap_or_default())
+                .cloned()
+                .collect();
+            let r2 = by_terms.canonicalize2(&b, &inst[..split], &tail);
+            prop_assert_eq!(r.root_id(), r2.root_id());
+            prop_assert_eq!(r.num_vars(), r2.num_vars());
+            prop_assert_eq!(hash_of(&r), hash_of(&r2));
+            prop_assert_eq!(by_ids.stats(), by_terms.stats());
+
+            // Both ways agree within one arena and with the reference.
+            prop_assert_eq!(by_ids.canonicalize2(&b, &inst[..split], &tail), r);
+            let whole: Vec<Term> = inst[..split].iter().chain(&tail).cloned().collect();
+            prop_assert_eq!(check_against_reference(&mut by_ids, &b, &whole), r);
+            check_against_reference(&mut by_terms, &b, &whole);
+        }
+    }
 
     /// Interning through bindings equals resolve-then-intern equals the
     /// reference model; instantiate → canonicalize round-trips to the same
