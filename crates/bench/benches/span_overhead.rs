@@ -4,9 +4,9 @@
 //! configurations:
 //!
 //! * `spans_off` — no trace sink at all: the shipping default. Every span
-//!   site is gated on `Machine.spans.is_some()`, and counter sampling on
-//!   `Machine.counters_on`, so this path takes no timestamps and mints no
-//!   ids. The combined overhead budget for spans *and* counters both off
+//!   site is gated on `Machine.spans.is_some()`, and sampling on
+//!   `Machine.sampler.is_some()`, so this path takes no timestamps and mints
+//!   no ids. The combined overhead budget for spans *and* sampling both off
 //!   (relative to a build without the instrumentation) is <3%; this config
 //!   is the evidence — the only residue is a handful of `Option`/bool
 //!   branches per task.
@@ -15,20 +15,20 @@
 //! * `noop_sink_spans` — [`NoopSink`] plus `record_spans`: the full span
 //!   path (timestamp + id per enter/exit) minus serialization. The PR 5
 //!   budget is <3% over `noop_sink`.
-//! * `noop_sink_spans_counters` — spans plus `record_counters`: adds one
-//!   [`tablog_engine::CounterSample`] (timestamp + six counter reads) per
-//!   worklist task, the full PR 6 timeline-recording cost minus retention.
-//! * `budgets_health` — generous resource budgets (never tripping) plus
-//!   per-step health snapshots into a [`NoopSink`]: the PR 7 budgeted-run
-//!   cost — per task, two limit comparisons plus one clock read against
-//!   the precomputed deadline cutoff, and snapshot assembly at the
-//!   configured cadence. Note `spans_off` above also covers budgets-off:
+//! * `noop_sink_spans_counters` — spans plus `SampleConfig::every_steps(1)`
+//!   (what `tablog timeline --counters` runs): one [`tablog_engine::Sample`]
+//!   per worklist task, the full timeline-recording cost minus retention.
+//! * `budgets_health` — generous resource budgets (never tripping) plus a
+//!   sample every 64 tasks into a [`NoopSink`]: the budgeted-run cost — per
+//!   task, two limit comparisons plus one clock read against the
+//!   precomputed deadline cutoff, and sample assembly at the configured
+//!   cadence. Note `spans_off` above also covers budgets-off:
 //!   the unset `Option` limits share its dispatch-boundary branch budget.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
-use tablog_engine::{Engine, EngineOptions, HealthConfig, LoadMode, NoopSink};
+use tablog_engine::{Engine, EngineOptions, LoadMode, NoopSink, SampleConfig};
 
 fn chain_program(n: usize) -> String {
     let mut src = String::from(
@@ -87,7 +87,7 @@ fn bench(c: &mut Criterion) {
     let counter_opts = EngineOptions {
         trace: Some(Arc::new(NoopSink)),
         record_spans: true,
-        record_counters: true,
+        sampling: Some(SampleConfig::every_steps(1)),
         ..EngineOptions::default()
     };
     let counted = engine_with(&src, counter_opts);
@@ -103,7 +103,7 @@ fn bench(c: &mut Criterion) {
         max_steps: Some(usize::MAX),
         deadline: Some(std::time::Duration::from_secs(86_400)),
         max_table_bytes: Some(usize::MAX),
-        health: Some(HealthConfig::every_steps(64)),
+        sampling: Some(SampleConfig::every_steps(64)),
         ..EngineOptions::default()
     };
     let budgeted = engine_with(&src, budget_opts);

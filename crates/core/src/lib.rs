@@ -66,3 +66,4 @@ pub use error::AnalysisError;
 pub use explain::AnalysisExplanation;
 pub use parallel::analyze_many;
 pub use pipeline::{PhaseTimings, Timer};
+pub use profile::engine_snapshot;

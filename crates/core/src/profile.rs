@@ -76,10 +76,7 @@ impl PhaseSpans {
 /// The evaluation's global counters, in report form, stamped with the
 /// Prop-domain backend the analysis ran on (so saved reports are
 /// self-describing the same way they are for the scheduler).
-pub(crate) fn engine_snapshot(
-    eval: &Evaluation,
-    domain: tablog_domain::DomainKind,
-) -> EngineSnapshot {
+pub fn engine_snapshot(eval: &Evaluation, domain: tablog_domain::DomainKind) -> EngineSnapshot {
     let s = eval.stats();
     EngineSnapshot {
         scheduler: eval.scheduler().to_string(),

@@ -14,9 +14,8 @@
 //! Tripping a budget is **not an error**: the machine stops scheduling,
 //! keeps every table row derived so far, and hands back an
 //! [`Evaluation`](crate::Evaluation) carrying a [`Truncation`] — the
-//! tripped [`TruncationReason`] plus a final
-//! [`HealthSnapshot`](tablog_trace::HealthSnapshot) of the run's vital
-//! signs. Answers in a truncated evaluation are all genuinely derivable
+//! tripped [`TruncationReason`] plus the final
+//! [`Sample`](tablog_trace::Sample) of the run's vital signs. Answers in a truncated evaluation are all genuinely derivable
 //! (a prefix of the complete fixpoint); what is missing is completeness,
 //! which is why tables stay unmarked (`complete == false`) and why
 //! analyses that need the full model call
@@ -24,31 +23,33 @@
 //! converting truncation into [`EngineError::Truncated`](crate::EngineError).
 
 use std::fmt;
-use tablog_trace::HealthSnapshot;
+use tablog_trace::Sample;
 
-/// Cadence of periodic [`HealthSnapshot`] emission through
-/// [`TraceSink::health`](tablog_trace::TraceSink::health), plus the stall
-/// watchdog's patience. Snapshots are emitted when *either* cadence
-/// elapses (a zero disables that trigger); a final snapshot is always
-/// emitted when the run ends, completed or truncated.
+/// Cadence of [`Sample`] emission through
+/// [`TraceSink::sample`](tablog_trace::TraceSink::sample), plus the stall
+/// watchdog's patience. The engine takes one sample before the first task,
+/// one after each task that leaves work queued when *either* cadence has
+/// elapsed (a zero disables that trigger), and one final sample when the
+/// run ends, completed or truncated.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HealthConfig {
-    /// Emit a snapshot every this many worklist tasks (0 = step cadence
-    /// off). The step cadence costs no timestamp between emissions.
+pub struct SampleConfig {
+    /// Sample every this many worklist tasks (0 = step cadence off). The
+    /// step cadence costs no timestamp between samples; `every_steps(1)`
+    /// samples after every task.
     pub every_steps: usize,
-    /// Emit a snapshot when this many milliseconds have passed since the
-    /// last one (0 = time cadence off). The time cadence reads the clock
-    /// once per task.
+    /// Sample when this many milliseconds have passed since the last one
+    /// (0 = time cadence off). The time cadence reads the clock once per
+    /// task.
     pub every_ms: u64,
-    /// Consecutive answer-free, table-growing snapshot windows before the
+    /// Consecutive answer-free, table-growing sample windows before the
     /// watchdog reports `stalled` (0 = never); see
     /// [`StallWatchdog`](tablog_trace::StallWatchdog).
     pub stall_window: usize,
 }
 
-impl Default for HealthConfig {
+impl Default for SampleConfig {
     fn default() -> Self {
-        HealthConfig {
+        SampleConfig {
             every_steps: 1024,
             every_ms: 100,
             stall_window: 3,
@@ -56,21 +57,21 @@ impl Default for HealthConfig {
     }
 }
 
-impl HealthConfig {
-    /// A config emitting only on the step cadence (deterministic snapshot
-    /// counts — what tests want).
+impl SampleConfig {
+    /// A config sampling only on the step cadence (deterministic sample
+    /// counts — what tests and `tablog timeline --counters` want).
     pub fn every_steps(n: usize) -> Self {
-        HealthConfig {
+        SampleConfig {
             every_steps: n,
             every_ms: 0,
             ..Default::default()
         }
     }
 
-    /// A config emitting only on the time cadence (what `tablog watch
-    /// --interval` wants).
+    /// A config sampling only on the time cadence (what `tablog watch
+    /// --interval` and `--progress` want).
     pub fn every_ms(ms: u64) -> Self {
-        HealthConfig {
+        SampleConfig {
             every_steps: 0,
             every_ms: ms,
             ..Default::default()
@@ -132,9 +133,9 @@ impl fmt::Display for TruncationReason {
 pub struct Truncation {
     /// The budget that tripped.
     pub reason: TruncationReason,
-    /// Final vital signs, taken at the dispatch boundary that stopped the
-    /// run.
-    pub snapshot: HealthSnapshot,
+    /// The run's final sample, taken after the dispatch boundary that
+    /// stopped it (the same sample a sampling run emits last).
+    pub snapshot: Sample,
 }
 
 impl Truncation {
@@ -169,7 +170,7 @@ mod tests {
     fn truncation_json_round_trips_the_reason() {
         let t = Truncation {
             reason: TruncationReason::TableBytes(4096),
-            snapshot: HealthSnapshot::default(),
+            snapshot: Sample::default(),
         };
         let v = tablog_trace::json::parse(&t.to_json()).expect("valid JSON");
         assert_eq!(
@@ -181,10 +182,10 @@ mod tests {
     }
 
     #[test]
-    fn health_config_defaults_are_sane() {
-        let c = HealthConfig::default();
+    fn sample_config_defaults_are_sane() {
+        let c = SampleConfig::default();
         assert!(c.every_steps > 0 && c.every_ms > 0 && c.stall_window > 0);
-        assert_eq!(HealthConfig::every_steps(8).every_ms, 0);
-        assert_eq!(HealthConfig::every_ms(50).every_steps, 0);
+        assert_eq!(SampleConfig::every_steps(8).every_ms, 0);
+        assert_eq!(SampleConfig::every_ms(50).every_steps, 0);
     }
 }

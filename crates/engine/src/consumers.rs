@@ -68,12 +68,10 @@ impl Machine<'_> {
             let widened = hook(&mut self.arena, &ans);
             if let Some(sink) = self.trace {
                 if widened != ans {
-                    let original = self.arena.terms(&ans);
-                    let wide = self.arena.terms(&widened);
                     sink.event(&TraceEvent::AnswerWidened {
                         pred: self.subgoals[sid].functor,
-                        original: &original,
-                        widened: &wide,
+                        original: self.arena.terms(&ans),
+                        widened: self.arena.terms(&widened),
                     });
                 }
             }
@@ -97,10 +95,9 @@ impl Machine<'_> {
             sub.add_entry_overhead();
             sub.add_prov_bytes(prov_bytes);
             if let Some(sink) = self.trace {
-                let answer = arena.terms(&ans);
                 sink.event(&TraceEvent::AnswerInsert {
                     pred: sub.functor,
-                    answer: &answer,
+                    answer: arena.terms(&ans),
                     bytes,
                 });
             }
@@ -127,10 +124,9 @@ impl Machine<'_> {
         } else {
             self.stats.duplicate_answers += 1;
             if let Some(sink) = self.trace {
-                let answer = arena.terms(&ans);
                 sink.event(&TraceEvent::DuplicateAnswer {
                     pred: sub.functor,
-                    answer: &answer,
+                    answer: arena.terms(&ans),
                 });
             }
         }
@@ -142,15 +138,19 @@ impl Machine<'_> {
     pub(crate) fn provable(&mut self, goal: &Term, b: &Bindings) -> Result<bool, EngineError> {
         let g = b.resolve(goal);
         let mut sub = Machine::new(self.db, self.opts);
-        // The deadline bounds the whole evaluation: the sub-machine inherits
-        // the parent's absolute cutoff rather than restarting the clock.
+        // The budgets bound the whole evaluation: the sub-machine inherits
+        // the parent's absolute deadline and continues its step count rather
+        // than restarting either. It does not sample: its counters are its
+        // own, and the parent's series must stay monotonic.
         sub.deadline_ns = self.deadline_ns;
+        sub.stats.steps = self.stats.steps;
+        sub.sampler = None;
         let empty = Bindings::new();
         let eval = sub.run(&[g], &[], &empty)?;
         // Fold the subcomputation's work into this evaluation's counters.
         // `table_bytes` stays out: the sub-machine's tables are discarded
         // here, so charging their space would overstate live table memory.
-        self.stats.steps += sub.stats.steps;
+        self.stats.steps = sub.stats.steps;
         self.stats.clause_resolutions += sub.stats.clause_resolutions;
         self.stats.subgoals += sub.stats.subgoals;
         self.stats.answers += sub.stats.answers;

@@ -70,7 +70,7 @@ mod table;
 #[cfg(test)]
 mod machine_tests;
 
-pub use budget::{HealthConfig, Truncation, TruncationReason};
+pub use budget::{SampleConfig, Truncation, TruncationReason};
 pub use builtins::{
     abs_ground, abs_unify, arith_eval, builtin_functors, is_builtin, lookup_builtin, term_compare,
     BuiltinImpl, DetFn, NonDetFn, GAMMA,
@@ -89,8 +89,7 @@ pub use table::{AnswerIter, SubgoalView, TableBytes, TableStats};
 // the engine loads, and the trace types plug into `EngineOptions::trace`.
 pub use tablog_syntax::{parse_program, ParseError, Program};
 pub use tablog_trace::{
-    chrome_trace, CounterSample, CounterTrack, CountingSink, Forest, ForestAnswer, ForestSubgoal,
-    HealthSnapshot, HealthTrack, JsonLinesSink, MetricsRegistry, MetricsReport, MultiSink,
-    NoopSink, OwnedEvent, PredStats, RingBufferSink, SpanEmitter, SpanEvent, SpanId, SpanRecorder,
-    SpanTree, StallWatchdog, TraceEvent, TraceSink,
+    chrome_trace, CountingSink, Forest, ForestAnswer, ForestSubgoal, JsonLinesSink,
+    MetricsRegistry, MetricsReport, MultiSink, NoopSink, PredStats, Sample, SampleTrack,
+    SpanEmitter, SpanEvent, SpanId, SpanRecorder, SpanTree, StallWatchdog, TraceEvent, TraceSink,
 };

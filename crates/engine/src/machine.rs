@@ -25,7 +25,7 @@
 //! answer flow (consumer resumption, table insertion, negation
 //! subcomputations) lives in `consumers.rs`.
 
-use crate::budget::{HealthConfig, Truncation, TruncationReason};
+use crate::budget::{SampleConfig, Truncation, TruncationReason};
 use crate::builtins::{control, lookup_builtin, syms, Control};
 use crate::database::Database;
 use crate::error::EngineError;
@@ -38,9 +38,7 @@ use tablog_term::{
     unify, unify_occurs, Bindings, CanonicalTerm, FastMap, FastSet, Functor, Term, TermArena,
     TermId, Var,
 };
-use tablog_trace::{
-    now_ns, CounterSample, HealthSnapshot, SpanEmitter, StallWatchdog, TraceEvent, TraceSink,
-};
+use tablog_trace::{now_ns, Sample, SpanEmitter, StallWatchdog, TraceEvent, TraceSink};
 
 #[derive(Clone, Debug)]
 pub(crate) struct Node {
@@ -125,9 +123,6 @@ pub(crate) struct Machine<'e> {
     /// *and* a sink is installed — every span site gates on this, so the
     /// disabled path takes no timestamps and mints no ids.
     pub(crate) spans: Option<SpanEmitter>,
-    /// Counter sampling enabled: `EngineOptions::record_counters` *and* a
-    /// sink installed. The disabled path is one branch per worklist task.
-    counters_on: bool,
     /// Any resource budget set. The only cost budgets add to an unbudgeted
     /// run is this one branch per worklist task.
     budgets_on: bool,
@@ -140,19 +135,20 @@ pub(crate) struct Machine<'e> {
     /// propagated from a negation subcomputation); once set, `drain` stops
     /// scheduling and `run` hands back a truncated evaluation.
     pub(crate) truncated: Option<TruncationReason>,
-    /// Periodic health emission state, `Some` only when
-    /// `EngineOptions::health` is set *and* a sink is installed.
-    health: Option<HealthState>,
-    /// Timestamp of machine creation, taken only when budgets or health
-    /// reporting need one (0 otherwise, never read in that case).
+    /// Sampling state, `Some` only when `EngineOptions::sampling` is set
+    /// *and* a sink is installed. The disabled path is one branch per
+    /// worklist task.
+    pub(crate) sampler: Option<Sampler>,
+    /// Timestamp of machine creation, taken only when budgets or sampling
+    /// need one (0 otherwise, never read in that case).
     start_ns: u64,
 }
 
-/// Book-keeping for periodic [`HealthSnapshot`] emission: the cadence
-/// config, the watchdog, and the previous emission's coordinates (for
-/// window deltas and the derivation rate).
-struct HealthState {
-    cfg: HealthConfig,
+/// Sampling book-keeping: the cadence, the watchdog, and the previous
+/// sample's coordinates (for the step cadence and the window's answer
+/// rate).
+pub(crate) struct Sampler {
+    cfg: SampleConfig,
     watchdog: StallWatchdog,
     last_ns: u64,
     last_steps: usize,
@@ -163,10 +159,14 @@ impl<'e> Machine<'e> {
     pub(crate) fn new(db: &'e Database, opts: &'e EngineOptions) -> Self {
         let budgets_on =
             opts.max_steps.is_some() || opts.deadline.is_some() || opts.max_table_bytes.is_some();
-        let health_on = opts.health.is_some() && opts.trace.is_some();
-        // One timestamp at machine creation when budgets or health need a
+        let sampling = opts.sampling.filter(|_| opts.trace.is_some());
+        // One timestamp at machine creation when budgets or sampling need a
         // time origin; the all-off path still takes none.
-        let start_ns = if budgets_on || health_on { now_ns() } else { 0 };
+        let start_ns = if budgets_on || sampling.is_some() {
+            now_ns()
+        } else {
+            0
+        };
         Machine {
             db,
             opts,
@@ -181,40 +181,19 @@ impl<'e> Machine<'e> {
             trace: opts.trace.as_deref(),
             spans: (opts.record_spans && opts.trace.is_some())
                 .then(|| SpanEmitter::with_root(opts.parent_span)),
-            counters_on: opts.record_counters && opts.trace.is_some(),
             budgets_on,
             deadline_ns: opts
                 .deadline
                 .map(|d| start_ns.saturating_add(d.as_nanos() as u64)),
             truncated: None,
-            health: health_on.then(|| {
-                let cfg = opts.health.unwrap();
-                HealthState {
-                    cfg,
-                    watchdog: StallWatchdog::new(cfg.stall_window),
-                    last_ns: start_ns,
-                    last_steps: 0,
-                    last_answers: 0,
-                }
+            sampler: sampling.map(|cfg| Sampler {
+                cfg,
+                watchdog: StallWatchdog::new(cfg.stall_window),
+                last_ns: start_ns,
+                last_steps: 0,
+                last_answers: 0,
             }),
             start_ns,
-        }
-    }
-
-    /// Emits one counter time-series sample to the trace sink. Only called
-    /// from sites gated on `counters_on`, so the disabled path takes no
-    /// timestamp and constructs nothing.
-    fn sample_counters(&self) {
-        if let Some(sink) = self.trace {
-            sink.counter_sample(&CounterSample {
-                t_ns: tablog_trace::now_ns(),
-                worklist: self.worklist.len(),
-                expands: self.worklist.class_len(TaskClass::Expand),
-                returns: self.worklist.class_len(TaskClass::Return),
-                tables: self.subgoals.len(),
-                answers: self.stats.answers,
-                table_bytes: self.stats.table_bytes,
-            });
         }
     }
 
@@ -242,79 +221,65 @@ impl<'e> Machine<'e> {
         None
     }
 
-    /// Builds one health snapshot at `t_ns`, advancing the health window
-    /// state (rate baseline, watchdog) when health reporting is on. Also
-    /// used for the final snapshot of a truncated run even when no health
-    /// config is set — the window then spans the whole run.
-    fn health_snapshot(&mut self, t_ns: u64) -> HealthSnapshot {
+    /// Takes the sample at `t_ns`. With sampling on, it advances the
+    /// sampler's window (rate baseline, watchdog) and goes to the sink;
+    /// without (the final sample of a truncated run) its window is the
+    /// whole run. O(1): tables are marked complete all at once, after the
+    /// drain, so `completed` says whether every table is complete or none.
+    fn take_sample(&mut self, t_ns: u64, completed: bool) -> Sample {
         let answers = self.stats.answers;
         let table_bytes = self.stats.table_bytes;
-        let (answer_rate, stalled) = match self.health.as_mut() {
-            Some(h) => {
-                let dt = t_ns.saturating_sub(h.last_ns);
-                let da = answers - h.last_answers;
-                let rate = if dt > 0 {
-                    da as f64 * 1e9 / dt as f64
-                } else {
-                    0.0
-                };
-                let stalled = h.watchdog.observe(answers, table_bytes);
-                h.last_ns = t_ns;
-                h.last_steps = self.stats.steps;
-                h.last_answers = answers;
-                (rate, stalled)
-            }
-            None => {
-                let dt = t_ns.saturating_sub(self.start_ns);
-                let rate = if dt > 0 {
-                    answers as f64 * 1e9 / dt as f64
-                } else {
-                    0.0
-                };
-                (rate, false)
-            }
+        let (since_ns, since_answers) = self
+            .sampler
+            .as_ref()
+            .map_or((self.start_ns, 0), |s| (s.last_ns, s.last_answers));
+        let dt = t_ns.saturating_sub(since_ns);
+        let answer_rate = if dt > 0 {
+            (answers - since_answers) as f64 * 1e9 / dt as f64
+        } else {
+            0.0
         };
-        HealthSnapshot {
+        let stalled = self.sampler.as_mut().is_some_and(|s| {
+            s.last_ns = t_ns;
+            s.last_steps = self.stats.steps;
+            s.last_answers = answers;
+            s.watchdog.observe(answers, table_bytes)
+        });
+        let sample = Sample {
             t_ns,
             steps: self.stats.steps,
             worklist: self.worklist.len(),
             expands: self.worklist.class_len(TaskClass::Expand),
             returns: self.worklist.class_len(TaskClass::Return),
             tables: self.subgoals.len(),
-            completed_tables: self.subgoals.iter().filter(|s| s.complete).count(),
+            completed_tables: if completed { self.subgoals.len() } else { 0 },
             answers,
             duplicate_answers: self.stats.duplicate_answers,
             table_bytes,
             answer_rate,
             peak_heap_bytes: tablog_alloc::is_tracking().then(|| tablog_alloc::stats().peak_bytes),
             stalled,
+        };
+        if let Some(sink) = self.trace.filter(|_| self.sampler.is_some()) {
+            sink.sample(&sample);
         }
+        sample
     }
 
-    /// Emits a periodic health snapshot if either cadence is due. Only
-    /// called when `health` is `Some`; the step cadence costs no clock
-    /// read until it fires, the time cadence reads the clock once.
-    fn health_tick(&mut self) {
-        let due = {
-            let h = self.health.as_ref().expect("health_tick gated on health");
-            let step_due =
-                h.cfg.every_steps > 0 && self.stats.steps - h.last_steps >= h.cfg.every_steps;
-            if step_due {
-                Some(now_ns())
-            } else if h.cfg.every_ms > 0 {
-                let t = now_ns();
-                (t.saturating_sub(h.last_ns) >= h.cfg.every_ms.saturating_mul(1_000_000))
-                    .then_some(t)
-            } else {
-                None
-            }
-        };
-        if let Some(t_ns) = due {
-            let snap = self.health_snapshot(t_ns);
-            if let Some(sink) = self.trace {
-                sink.health(&snap);
-            }
+    /// The timestamp of a sample due now, if either cadence has elapsed.
+    /// The step cadence reads no clock until it fires; the time cadence
+    /// reads it once.
+    fn sample_due(&self) -> Option<u64> {
+        let s = self.sampler.as_ref()?;
+        if s.cfg.every_steps > 0 && self.stats.steps - s.last_steps >= s.cfg.every_steps {
+            return Some(now_ns());
         }
+        if s.cfg.every_ms > 0 {
+            let t = now_ns();
+            return (t.saturating_sub(s.last_ns) >= s.cfg.every_ms.saturating_mul(1_000_000))
+                .then_some(t);
+        }
+        None
     }
 
     /// Opens a span when span recording is on; no-op (and no timestamp)
@@ -402,18 +367,13 @@ impl<'e> Machine<'e> {
                 .all(|s| s.byte_breakdown().attributed() == s.table_bytes()),
             "per-table byte attribution does not sum to table_bytes"
         );
-        // One final snapshot closes every health-reporting run and stamps
-        // every truncation; a run with neither takes no timestamp here.
-        let truncation = if truncated.is_some() || self.health.is_some() {
-            let snap = self.health_snapshot(now_ns());
-            if self.health.is_some() {
-                if let Some(sink) = self.trace {
-                    sink.health(&snap);
-                }
-            }
+        // One final sample closes every sampling run and stamps every
+        // truncation; a run with neither takes no timestamp here.
+        let truncation = if truncated.is_some() || self.sampler.is_some() {
+            let last = self.take_sample(now_ns(), truncated.is_none());
             truncated.map(|reason| Truncation {
                 reason,
-                snapshot: snap,
+                snapshot: last,
             })
         } else {
             None
@@ -432,22 +392,8 @@ impl<'e> Machine<'e> {
     /// Creates the synthetic `$query` root subgoal and schedules the root
     /// derivation node.
     fn seed_root(&mut self, goals: &[Term], template: &[Term], b0: &Bindings) -> usize {
-        let root_f = Functor::new("$query", template.len());
         let key = self.arena.canonicalize(b0, template);
-        let root = self.subgoals.len();
-        self.stats.subgoals += 1;
-        let state = SubgoalState::new(root_f, key, &self.arena);
-        let bytes = state.table_bytes();
-        self.stats.table_bytes += bytes;
-        if let Some(sink) = self.trace {
-            let call = self.arena.terms(&key);
-            sink.event(&TraceEvent::NewSubgoal {
-                pred: root_f,
-                call: &call,
-                bytes,
-            });
-        }
-        self.subgoals.push(state);
+        let root = self.new_subgoal(Functor::new("$query", template.len()), key);
         let node = Node {
             subgoal: root,
             split: template.len(),
@@ -491,12 +437,12 @@ impl<'e> Machine<'e> {
     }
 
     fn drain(&mut self) -> Result<(), EngineError> {
-        // One sample of the initial state, then one after every task — a
-        // run of `steps` tasks yields `steps + 1` samples (negation
-        // subcomputations run their own drain and interleave additional
-        // samples on the shared sink).
-        if self.counters_on {
-            self.sample_counters();
+        // One sample of the initial state, then one after each task that
+        // leaves work queued once the cadence is due, then the final one in
+        // `run`: under `every_steps(1)` a run of `steps` tasks yields
+        // `steps + 1` samples.
+        if self.sampler.is_some() {
+            self.take_sample(now_ns(), false);
         }
         while let Some(task) = self.worklist.pop() {
             self.stats.steps += 1;
@@ -511,11 +457,10 @@ impl<'e> Machine<'e> {
                 }
             }
             self.step(task)?;
-            if self.counters_on {
-                self.sample_counters();
-            }
-            if self.health.is_some() {
-                self.health_tick();
+            if self.sampler.is_some() && self.worklist.len() > 0 {
+                if let Some(t_ns) = self.sample_due() {
+                    self.take_sample(t_ns, false);
+                }
             }
             // A negation subcomputation may have tripped a budget mid-task;
             // stop before expanding anything it scheduled.
@@ -717,12 +662,10 @@ impl<'e> Machine<'e> {
                 // Only report calls that subsumption actually generalized.
                 let specific = self.arena.canonicalize(b, g.args());
                 if specific != open {
-                    let call = self.arena.terms(&specific);
-                    let subsumer = self.arena.terms(&open);
                     sink.event(&TraceEvent::SubsumedCall {
                         pred: f,
-                        call: &call,
-                        subsumer: &subsumer,
+                        call: self.arena.terms(&specific),
+                        subsumer: self.arena.terms(&open),
                     });
                 }
             }
@@ -734,12 +677,10 @@ impl<'e> Machine<'e> {
             let abstracted = hook(&mut self.arena, &key);
             if let Some(sink) = self.trace {
                 if abstracted != key {
-                    let original = self.arena.terms(&key);
-                    let widened = self.arena.terms(&abstracted);
                     sink.event(&TraceEvent::CallAbstracted {
                         pred: f,
-                        original: &original,
-                        abstracted: &widened,
+                        original: self.arena.terms(&key),
+                        abstracted: self.arena.terms(&abstracted),
                     });
                 }
             }
@@ -782,20 +723,7 @@ impl<'e> Machine<'e> {
         if let Some(&sid) = self.lookup.get(&(f, key.root_id())) {
             return Ok(sid);
         }
-        let sid = self.subgoals.len();
-        self.stats.subgoals += 1;
-        let state = SubgoalState::new(f, key, &self.arena);
-        let bytes = state.table_bytes();
-        self.stats.table_bytes += bytes;
-        if let Some(sink) = self.trace {
-            let call = self.arena.terms(&key);
-            sink.event(&TraceEvent::NewSubgoal {
-                pred: f,
-                call: &call,
-                bytes,
-            });
-        }
-        self.subgoals.push(state);
+        let sid = self.new_subgoal(f, key);
         self.lookup.insert((f, key.root_id()), sid);
         // Spawn generator nodes: one per resolving program clause. Each
         // starts a fresh derivation trail rooted at its clause — the answers
@@ -847,6 +775,24 @@ impl<'e> Machine<'e> {
             self.span_exit();
         }
         Ok(sid)
+    }
+
+    /// Adds a fresh subgoal table for the call `key`, charging its bytes
+    /// and reporting it; returns its index.
+    fn new_subgoal(&mut self, f: Functor, key: CanonicalTerm) -> usize {
+        let state = SubgoalState::new(f, key, &self.arena);
+        let bytes = state.table_bytes();
+        self.stats.subgoals += 1;
+        self.stats.table_bytes += bytes;
+        if let Some(sink) = self.trace {
+            sink.event(&TraceEvent::NewSubgoal {
+                pred: f,
+                call: self.arena.terms(&key),
+                bytes,
+            });
+        }
+        self.subgoals.push(state);
+        self.subgoals.len() - 1
     }
 
     fn open_call_key(&mut self, f: Functor) -> CanonicalTerm {

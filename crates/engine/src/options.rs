@@ -111,12 +111,13 @@ pub struct EngineOptions {
     /// accounting (`None` = unbounded). Checked at dispatch boundaries;
     /// the run stops after the task that crossed the ceiling.
     pub max_table_bytes: Option<usize>,
-    /// Periodic run-health reporting: with `Some`, the engine emits
-    /// [`tablog_trace::HealthSnapshot`]s through [`TraceSink::health`] on
-    /// the configured cadence (plus one final snapshot), with the stall
-    /// watchdog scoring each window. With `None` (the default) no
-    /// snapshot — and no timestamp — is ever taken.
-    pub health: Option<crate::HealthConfig>,
+    /// Sampling: with `Some` and a `trace` sink, the engine emits
+    /// [`tablog_trace::Sample`]s through [`TraceSink::sample`] — one before
+    /// the first task, one after each task that leaves work queued when
+    /// the cadence is due, and one final sample — with the stall watchdog
+    /// scoring each window. Negation subcomputations do not sample. With
+    /// `None` (the default) no sample, and no timestamp, is ever taken.
+    pub sampling: Option<crate::SampleConfig>,
     /// Treatment of undefined predicates.
     pub unknown: Unknown,
     /// Record per-answer provenance: the clause ids resolved and the table
@@ -140,13 +141,6 @@ pub struct EngineOptions {
     /// analyzer nest the whole evaluation under its own phase span.
     /// Ignored unless `record_spans` is set.
     pub parent_span: Option<tablog_trace::SpanId>,
-    /// Emit counter time-series samples (`counter_sample`) at worklist
-    /// dispatch boundaries: worklist depth per class, live call tables,
-    /// cumulative answers, and table bytes. Samples flow to the same
-    /// `trace` sink; with `trace` unset or this flag off (the default) no
-    /// sample — and no timestamp — is ever taken, so the flag costs one
-    /// branch per worklist task when off.
-    pub record_counters: bool,
 }
 
 impl EngineOptions {
@@ -193,8 +187,8 @@ impl EngineOptions {
                 },
             ),
             (
-                "health".to_owned(),
-                match self.health {
+                "sampling".to_owned(),
+                match self.sampling {
                     Some(h) => format!(
                         "every {} steps / {} ms (stall window {})",
                         h.every_steps, h.every_ms, h.stall_window
@@ -214,7 +208,6 @@ impl EngineOptions {
                 on_off(self.record_provenance),
             ),
             ("record_spans".to_owned(), on_off(self.record_spans)),
-            ("record_counters".to_owned(), on_off(self.record_counters)),
         ]
     }
 }
@@ -231,13 +224,12 @@ impl fmt::Debug for EngineOptions {
             .field("max_steps", &self.max_steps)
             .field("deadline", &self.deadline)
             .field("max_table_bytes", &self.max_table_bytes)
-            .field("health", &self.health)
+            .field("sampling", &self.sampling)
             .field("unknown", &self.unknown)
             .field("record_provenance", &self.record_provenance)
             .field("trace", &self.trace.is_some())
             .field("record_spans", &self.record_spans)
             .field("parent_span", &self.parent_span)
-            .field("record_counters", &self.record_counters)
             .finish()
     }
 }

@@ -18,7 +18,7 @@ use crate::options::Scheduling;
 use std::collections::VecDeque;
 
 /// Coarse classification of a worklist task: the per-class depths are what
-/// the counter time-series and health snapshots report.
+/// every [`tablog_trace::Sample`] reports.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub(crate) enum TaskClass {
     /// Resolve a derivation node's selected goal.

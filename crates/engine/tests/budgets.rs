@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 use tablog_engine::{
-    Engine, EngineError, EngineOptions, HealthConfig, HealthTrack, LoadMode, TruncationReason,
+    Engine, EngineError, EngineOptions, LoadMode, SampleConfig, SampleTrack, TruncationReason,
 };
 
 /// A tabled predicate with infinitely many answers: every step makes
@@ -18,6 +18,13 @@ const NUMBERS: &str = ":- table num/1.\nnum(z).\nnum(s(X)) :- num(X).";
 /// call is a fresh call pattern, so tables (and table bytes) grow forever
 /// while the answer count stays zero — the stall watchdog's signature.
 const BARREN: &str = ":- table q/1.\nq(X) :- q(f(X)).";
+
+/// A negation whose subcomputation does real work: each `\+ r(_)` runs a
+/// sub-machine that resolves `n/1` a thousand ways before failing.
+const NEGATION: &str = ":- table r/1.\n\
+    n(0). n(1). n(2). n(3). n(4). n(5). n(6). n(7). n(8). n(9).\n\
+    r(X) :- n(X), n(Y), n(Z), X > 100.\n\
+    p(X) :- n(X), \\+ r(_).";
 
 fn engine(src: &str, opts: EngineOptions) -> Engine {
     Engine::from_source_with(src, LoadMode::Dynamic, opts).unwrap()
@@ -148,25 +155,25 @@ fn require_complete_converts_truncation_to_error() {
 
 #[test]
 fn health_snapshots_flow_during_truncated_runs() {
-    let track = Arc::new(HealthTrack::new());
+    let track = Arc::new(SampleTrack::new());
     let e = engine(
         NUMBERS,
         EngineOptions {
             trace: Some(track.clone()),
             max_steps: Some(500),
-            health: Some(HealthConfig::every_steps(50)),
+            sampling: Some(SampleConfig::every_steps(50)),
             ..Default::default()
         },
     );
     let sols = e.solve("num(N)").unwrap();
     assert!(sols.is_truncated());
-    // 500 steps at a 50-step cadence: ten periodic snapshots plus the
-    // final one stamped onto the truncation.
-    assert!(track.len() >= 10, "periodic snapshots: {}", track.len());
+    // 500 steps at a 50-step cadence: the initial sample, ten periodic
+    // ones, and the final one stamped onto the truncation.
+    assert!(track.len() >= 10, "periodic samples: {}", track.len());
     let samples = track.samples();
     assert!(
         samples.windows(2).all(|w| w[0].steps <= w[1].steps),
-        "snapshot step counts are monotonic"
+        "sample step counts are monotonic"
     );
     let last = track.last().unwrap();
     assert_eq!(
@@ -178,13 +185,13 @@ fn health_snapshots_flow_during_truncated_runs() {
 
 #[test]
 fn stall_watchdog_flags_barren_divergence() {
-    let track = Arc::new(HealthTrack::new());
+    let track = Arc::new(SampleTrack::new());
     let e = engine(
         BARREN,
         EngineOptions {
             trace: Some(track.clone()),
             max_steps: Some(2_000),
-            health: Some(HealthConfig::every_steps(100)),
+            sampling: Some(SampleConfig::every_steps(100)),
             ..Default::default()
         },
     );
@@ -199,13 +206,13 @@ fn stall_watchdog_flags_barren_divergence() {
     assert_eq!(t.snapshot.answers, 0);
 
     // The same cadence over a productive run never flags.
-    let track2 = Arc::new(HealthTrack::new());
+    let track2 = Arc::new(SampleTrack::new());
     let p = engine(
         NUMBERS,
         EngineOptions {
             trace: Some(track2.clone()),
             max_steps: Some(2_000),
-            health: Some(HealthConfig::every_steps(100)),
+            sampling: Some(SampleConfig::every_steps(100)),
             ..Default::default()
         },
     );
@@ -238,6 +245,47 @@ fn budget_trip_inside_negation_truncates_the_outer_run() {
 }
 
 #[test]
+fn negation_subcomputations_do_not_sample_into_the_parent_series() {
+    let track = Arc::new(SampleTrack::new());
+    let e = engine(
+        NEGATION,
+        EngineOptions {
+            trace: Some(track.clone()),
+            sampling: Some(SampleConfig::every_steps(1)),
+            ..Default::default()
+        },
+    );
+    let sols = e.solve("p(X)").unwrap();
+    assert_eq!(sols.len(), 10);
+    let samples = track.samples();
+    assert!(samples.len() > 2, "samples: {}", samples.len());
+    for w in samples.windows(2) {
+        assert!(w[0].steps <= w[1].steps, "steps went back: {w:?}");
+        assert!(w[0].tables <= w[1].tables, "tables went back: {w:?}");
+    }
+}
+
+#[test]
+fn step_budget_bounds_negation_subcomputations() {
+    // Sub-machines continue the parent's step count, so the budget bounds
+    // the whole evaluation: the run stops at the first step past the limit
+    // whether the parent or a negation subcomputation takes it.
+    for limit in [10, 40] {
+        let e = engine(
+            NEGATION,
+            EngineOptions {
+                max_steps: Some(limit),
+                ..Default::default()
+            },
+        );
+        let sols = e.solve("p(X)").unwrap();
+        let t = sols.truncation().expect("the step budget trips");
+        assert_eq!(t.reason, TruncationReason::Steps(limit));
+        assert_eq!(t.snapshot.steps, limit + 1, "limit {limit}");
+    }
+}
+
+#[test]
 fn jsonl_sink_flushes_health_and_truncation_lines() {
     use tablog_engine::{JsonLinesSink, TraceSink};
     use tablog_trace::SharedBuf;
@@ -249,7 +297,7 @@ fn jsonl_sink_flushes_health_and_truncation_lines() {
         EngineOptions {
             trace: Some(sink.clone()),
             max_steps: Some(300),
-            health: Some(HealthConfig::every_steps(50)),
+            sampling: Some(SampleConfig::every_steps(50)),
             ..Default::default()
         },
     );
@@ -259,7 +307,7 @@ fn jsonl_sink_flushes_health_and_truncation_lines() {
     let text = buf.contents();
     let health_lines: Vec<_> = text
         .lines()
-        .filter(|l| l.starts_with("{\"health\":"))
+        .filter(|l| l.starts_with("{\"sample\":"))
         .collect();
     assert!(!health_lines.is_empty(), "health lines reach the sink");
     for line in health_lines {

@@ -15,18 +15,16 @@
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
-use tablog_engine::{
-    Engine, EngineOptions, LoadMode, OwnedEvent, Scheduling, TraceEvent, TraceSink,
-};
+use tablog_engine::{Engine, EngineOptions, LoadMode, Scheduling, TraceEvent, TraceSink};
 use tablog_term::{Bindings, Functor, Term};
 
 /// A sink that retains every event in emission order.
 #[derive(Default)]
-struct Collect(Mutex<Vec<OwnedEvent>>);
+struct Collect(Mutex<Vec<TraceEvent>>);
 
 impl TraceSink for Collect {
-    fn event(&self, e: &TraceEvent<'_>) {
-        self.0.lock().unwrap().push(e.to_owned());
+    fn event(&self, e: &TraceEvent) {
+        self.0.lock().unwrap().push(e.clone());
     }
 }
 
@@ -111,14 +109,14 @@ proptest! {
             let (mut inserts, mut dups) = (0usize, 0usize);
             for ev in events.iter() {
                 match ev {
-                    OwnedEvent::NewSubgoal { pred, .. } => {
+                    TraceEvent::NewSubgoal { pred, .. } => {
                         let n = tables_per_pred.entry(*pred).or_insert(0);
                         *n += 1;
                         // The shadow is keyed by predicate, which is only
                         // sound while subsumption keeps one table per pred.
                         prop_assert_eq!(*n, 1, "pred {:?} opened a second table", pred);
                     }
-                    OwnedEvent::AnswerInsert { pred, answer, .. } => {
+                    TraceEvent::AnswerInsert { pred, answer, .. } => {
                         inserts += 1;
                         let tuple = answer.clone();
                         let t = shadow.entry(*pred).or_default();
@@ -130,7 +128,7 @@ proptest! {
                         );
                         t.order.push(tuple);
                     }
-                    OwnedEvent::DuplicateAnswer { pred, answer } => {
+                    TraceEvent::DuplicateAnswer { pred, answer } => {
                         dups += 1;
                         let tuple = answer.clone();
                         prop_assert!(

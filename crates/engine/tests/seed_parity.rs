@@ -9,7 +9,7 @@
 //! clause-resolution loops in particular must not alter `clause_resolutions`.
 
 use std::sync::Arc;
-use tablog_engine::{CounterTrack, Engine, EngineOptions, HealthConfig, HealthTrack, LoadMode};
+use tablog_engine::{Engine, EngineOptions, LoadMode, SampleConfig, SampleTrack};
 use tablog_term::Bindings;
 
 struct Expect {
@@ -95,7 +95,7 @@ fn counters_match_seed_engine() {
     }
 }
 
-/// Counter sampling is observation only: a run with `record_counters` on
+/// Sampling is observation only: a run sampling after every step
 /// computes byte-for-byte the same whole-run totals as a plain run, the
 /// track holds one sample per engine step plus the initial state, and the
 /// final sample agrees with the evaluation's own statistics.
@@ -104,10 +104,10 @@ fn counter_sampling_does_not_perturb_evaluation() {
     for e in EXPECTED {
         for mode in [LoadMode::Dynamic, LoadMode::Compiled] {
             let plain = run(e.src, e.goal, mode);
-            let track = Arc::new(CounterTrack::new());
+            let track = Arc::new(SampleTrack::new());
             let opts = EngineOptions {
                 trace: Some(track.clone()),
-                record_counters: true,
+                sampling: Some(SampleConfig::every_steps(1)),
                 ..Default::default()
             };
             let eng = Engine::from_source_with(e.src, mode, opts).unwrap();
@@ -150,11 +150,11 @@ fn counter_sampling_does_not_perturb_evaluation() {
     }
 }
 
-/// Budgets and health reporting are observation only: a run under generous
-/// budgets (none of which trip) with health snapshots on computes
-/// byte-for-byte the same whole-run totals and answer sets as a plain run,
-/// is not truncated, and the final snapshot agrees with the evaluation's
-/// own statistics.
+/// Budgets and sampling are observation only: a run under generous budgets
+/// (none of which trip) sampling after every step computes byte-for-byte
+/// the same whole-run totals and answer sets as a plain run, is not
+/// truncated, and the final sample agrees with the evaluation's own
+/// statistics.
 #[test]
 fn generous_budgets_and_health_do_not_perturb_evaluation() {
     for e in EXPECTED {
@@ -164,13 +164,13 @@ fn generous_budgets_and_health_do_not_perturb_evaluation() {
             let plain = plain_eng.solve(e.goal).unwrap();
             let plain_stats = run(e.src, e.goal, mode);
 
-            let track = Arc::new(HealthTrack::new());
+            let track = Arc::new(SampleTrack::new());
             let opts = EngineOptions {
                 trace: Some(track.clone()),
                 max_steps: Some(1_000_000),
                 deadline: Some(std::time::Duration::from_secs(3600)),
                 max_table_bytes: Some(1 << 30),
-                health: Some(HealthConfig::every_steps(1)),
+                sampling: Some(SampleConfig::every_steps(1)),
                 ..Default::default()
             };
             let eng = Engine::from_source_with(e.src, mode, opts).unwrap();
@@ -207,10 +207,10 @@ fn generous_budgets_and_health_do_not_perturb_evaluation() {
                 e.name
             );
 
-            // every_steps(1) emits one snapshot per step plus the final one;
+            // every_steps(1) emits one sample per step plus the initial one;
             // the track saw both solve() and evaluate() runs.
-            assert!(!track.is_empty(), "{}: no health snapshots", e.name);
-            let last = track.last().expect("final snapshot");
+            assert!(!track.is_empty(), "{}: no samples", e.name);
+            let last = track.last().expect("final sample");
             assert_eq!(last.steps, budgeted.steps, "{}", e.name);
             assert_eq!(last.worklist, 0, "{}: final worklist is drained", e.name);
             assert_eq!(last.answers, budgeted.answers, "{}", e.name);

@@ -1,9 +1,9 @@
 //! Chrome Trace Event export: spans as `ph:"B"/"E"` duration events and
-//! counter samples as `ph:"C"` counter tracks, loadable in Perfetto
+//! samples as `ph:"C"` counter tracks, loadable in Perfetto
 //! (<https://ui.perfetto.dev>) or `chrome://tracing`.
 //!
 //! The exporter consumes the same frozen structures the other exports do —
-//! a [`SpanTree`] and the [`CounterSample`]s of a [`crate::CounterTrack`] —
+//! a [`SpanTree`] and the [`Sample`]s of a [`crate::SampleTrack`] —
 //! so it composes with any recording setup. Timestamps are normalized to
 //! the earliest observation (the first event lands at `ts: 0.000`), which
 //! makes the output *deterministic modulo timestamps*: two runs of the same
@@ -21,8 +21,8 @@
 //! * `ts` is in fractional microseconds;
 //! * `ph:"M"` metadata events name the process and the thread lane.
 
-use crate::counter::CounterSample;
 use crate::json::escape;
+use crate::sample::Sample;
 use crate::span::SpanTree;
 use std::fmt::Write as _;
 
@@ -77,7 +77,7 @@ fn push_duration_events(tree: &SpanTree, t0: u64, out: &mut Vec<String>) {
     }
 }
 
-fn push_counter_events(counters: &[CounterSample], t0: u64, out: &mut Vec<String>) {
+fn push_counter_events(counters: &[Sample], t0: u64, out: &mut Vec<String>) {
     for c in counters {
         let ts = (c.t_ns.saturating_sub(t0)) as f64 / 1000.0;
         out.push(format!(
@@ -98,7 +98,7 @@ fn push_counter_events(counters: &[CounterSample], t0: u64, out: &mut Vec<String
     }
 }
 
-/// Renders a span tree plus counter samples as one Chrome-trace JSON
+/// Renders a span tree plus samples as one Chrome-trace JSON
 /// document (`{"traceEvents": [...], "displayTimeUnit": "ms"}`).
 ///
 /// Event order is deterministic: metadata events, then the span forest
@@ -106,7 +106,7 @@ fn push_counter_events(counters: &[CounterSample], t0: u64, out: &mut Vec<String
 /// events in sample order with the track order of
 /// [`CHROME_COUNTER_TRACKS`]. Trace viewers sort by `ts`, so grouping by
 /// kind is purely for structural stability of the file.
-pub fn chrome_trace(tree: &SpanTree, counters: &[CounterSample]) -> String {
+pub fn chrome_trace(tree: &SpanTree, counters: &[Sample]) -> String {
     let t0 = tree
         .nodes
         .iter()
@@ -151,25 +151,22 @@ mod tests {
         rec.snapshot()
     }
 
-    fn samples() -> Vec<CounterSample> {
+    fn samples() -> Vec<Sample> {
         vec![
-            CounterSample {
+            Sample {
                 t_ns: 0,
                 worklist: 2,
                 expands: 2,
-                returns: 0,
                 tables: 1,
-                answers: 0,
                 table_bytes: 64,
+                ..Default::default()
             },
-            CounterSample {
+            Sample {
                 t_ns: 1000,
-                worklist: 0,
-                expands: 0,
-                returns: 0,
                 tables: 2,
                 answers: 3,
                 table_bytes: 160,
+                ..Default::default()
             },
         ]
     }

@@ -1,27 +1,26 @@
 //! Typed SLG trace events.
 //!
-//! [`TraceEvent`] is the borrowed form the engine constructs on its trace
-//! path — it borrows term slices the engine materializes from its session
-//! arena only when a sink is attached, so the untraced hot path never
-//! allocates. Sinks that outlive the emission (ring buffers, determinism
-//! tests) call [`TraceEvent::to_owned`] to get an [`OwnedEvent`].
+//! A [`TraceEvent`] owns its term payloads: the engine materializes them
+//! from its session arena only when a sink is attached and moves them into
+//! the event, so the untraced hot path never allocates and a sink that
+//! retains events just clones them.
 
 use crate::json::escape;
 use std::fmt::Write as _;
 use tablog_term::{Functor, Term};
 
-/// One SLG engine transition, borrowed from the engine's tables.
+/// One SLG engine transition.
 ///
 /// Every variant carries the predicate (`pred`) it concerns; byte counts
 /// use the same heap-footprint estimate as `TableStats::table_bytes`. Term
 /// payloads are canonical tuples (variables numbered `_0, _1, …` in
 /// first-occurrence order), materialized by the engine from its arena.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceEvent<'a> {
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum TraceEvent {
     /// A call created a fresh subgoal table entry.
     NewSubgoal {
         pred: Functor,
-        call: &'a [Term],
+        call: Vec<Term>,
         /// Heap bytes charged to the table for this call key.
         bytes: usize,
     },
@@ -30,31 +29,31 @@ pub enum TraceEvent<'a> {
     /// A new answer entered a subgoal's answer table.
     AnswerInsert {
         pred: Functor,
-        answer: &'a [Term],
+        answer: Vec<Term>,
         /// Heap bytes charged to the table for this answer.
         bytes: usize,
     },
     /// An answer was derived again and rejected as a variant duplicate.
-    DuplicateAnswer { pred: Functor, answer: &'a [Term] },
+    DuplicateAnswer { pred: Functor, answer: Vec<Term> },
     /// An answer was returned to a consumer node.
     AnswerReturn { pred: Functor },
     /// The call-abstraction hook replaced a call key (e.g. depth-k).
     CallAbstracted {
         pred: Functor,
-        original: &'a [Term],
-        abstracted: &'a [Term],
+        original: Vec<Term>,
+        abstracted: Vec<Term>,
     },
     /// The answer-widening hook replaced an answer (e.g. depth-k).
     AnswerWidened {
         pred: Functor,
-        original: &'a [Term],
-        widened: &'a [Term],
+        original: Vec<Term>,
+        widened: Vec<Term>,
     },
     /// Forward subsumption reused an existing table for a new call.
     SubsumedCall {
         pred: Functor,
-        call: &'a [Term],
-        subsumer: &'a [Term],
+        call: Vec<Term>,
+        subsumer: Vec<Term>,
     },
     /// A subgoal was marked complete.
     SubgoalComplete {
@@ -66,7 +65,7 @@ pub enum TraceEvent<'a> {
     },
 }
 
-impl TraceEvent<'_> {
+impl TraceEvent {
     /// The snake_case event name used in the JSON schema.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -97,68 +96,6 @@ impl TraceEvent<'_> {
         }
     }
 
-    /// Converts to the owned mirror, cloning any borrowed terms.
-    pub fn to_owned(&self) -> OwnedEvent {
-        match *self {
-            TraceEvent::NewSubgoal { pred, call, bytes } => OwnedEvent::NewSubgoal {
-                pred,
-                call: call.to_vec(),
-                bytes,
-            },
-            TraceEvent::ClauseResolution { pred } => OwnedEvent::ClauseResolution { pred },
-            TraceEvent::AnswerInsert {
-                pred,
-                answer,
-                bytes,
-            } => OwnedEvent::AnswerInsert {
-                pred,
-                answer: answer.to_vec(),
-                bytes,
-            },
-            TraceEvent::DuplicateAnswer { pred, answer } => OwnedEvent::DuplicateAnswer {
-                pred,
-                answer: answer.to_vec(),
-            },
-            TraceEvent::AnswerReturn { pred } => OwnedEvent::AnswerReturn { pred },
-            TraceEvent::CallAbstracted {
-                pred,
-                original,
-                abstracted,
-            } => OwnedEvent::CallAbstracted {
-                pred,
-                original: original.to_vec(),
-                abstracted: abstracted.to_vec(),
-            },
-            TraceEvent::AnswerWidened {
-                pred,
-                original,
-                widened,
-            } => OwnedEvent::AnswerWidened {
-                pred,
-                original: original.to_vec(),
-                widened: widened.to_vec(),
-            },
-            TraceEvent::SubsumedCall {
-                pred,
-                call,
-                subsumer,
-            } => OwnedEvent::SubsumedCall {
-                pred,
-                call: call.to_vec(),
-                subsumer: subsumer.to_vec(),
-            },
-            TraceEvent::SubgoalComplete {
-                pred,
-                answers,
-                bytes,
-            } => OwnedEvent::SubgoalComplete {
-                pred,
-                answers,
-                bytes,
-            },
-        }
-    }
-
     /// Renders the event as one JSON object (no trailing newline).
     ///
     /// Schema: `{"event": <kind>, "pred": "name/arity", ...}` with
@@ -172,7 +109,7 @@ impl TraceEvent<'_> {
             self.kind(),
             escape(&self.pred().to_string())
         );
-        match *self {
+        match self {
             TraceEvent::NewSubgoal { call, bytes, .. } => {
                 let _ = write!(
                     s,
@@ -242,130 +179,6 @@ fn render(ts: &[Term]) -> String {
     out
 }
 
-/// The owned mirror of [`TraceEvent`], for sinks that retain events.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum OwnedEvent {
-    NewSubgoal {
-        pred: Functor,
-        call: Vec<Term>,
-        bytes: usize,
-    },
-    ClauseResolution {
-        pred: Functor,
-    },
-    AnswerInsert {
-        pred: Functor,
-        answer: Vec<Term>,
-        bytes: usize,
-    },
-    DuplicateAnswer {
-        pred: Functor,
-        answer: Vec<Term>,
-    },
-    AnswerReturn {
-        pred: Functor,
-    },
-    CallAbstracted {
-        pred: Functor,
-        original: Vec<Term>,
-        abstracted: Vec<Term>,
-    },
-    AnswerWidened {
-        pred: Functor,
-        original: Vec<Term>,
-        widened: Vec<Term>,
-    },
-    SubsumedCall {
-        pred: Functor,
-        call: Vec<Term>,
-        subsumer: Vec<Term>,
-    },
-    SubgoalComplete {
-        pred: Functor,
-        answers: usize,
-        bytes: usize,
-    },
-}
-
-impl OwnedEvent {
-    /// Borrows back into the event form used for rendering.
-    pub fn as_event(&self) -> TraceEvent<'_> {
-        match self {
-            OwnedEvent::NewSubgoal { pred, call, bytes } => TraceEvent::NewSubgoal {
-                pred: *pred,
-                call,
-                bytes: *bytes,
-            },
-            OwnedEvent::ClauseResolution { pred } => TraceEvent::ClauseResolution { pred: *pred },
-            OwnedEvent::AnswerInsert {
-                pred,
-                answer,
-                bytes,
-            } => TraceEvent::AnswerInsert {
-                pred: *pred,
-                answer,
-                bytes: *bytes,
-            },
-            OwnedEvent::DuplicateAnswer { pred, answer } => TraceEvent::DuplicateAnswer {
-                pred: *pred,
-                answer,
-            },
-            OwnedEvent::AnswerReturn { pred } => TraceEvent::AnswerReturn { pred: *pred },
-            OwnedEvent::CallAbstracted {
-                pred,
-                original,
-                abstracted,
-            } => TraceEvent::CallAbstracted {
-                pred: *pred,
-                original,
-                abstracted,
-            },
-            OwnedEvent::AnswerWidened {
-                pred,
-                original,
-                widened,
-            } => TraceEvent::AnswerWidened {
-                pred: *pred,
-                original,
-                widened,
-            },
-            OwnedEvent::SubsumedCall {
-                pred,
-                call,
-                subsumer,
-            } => TraceEvent::SubsumedCall {
-                pred: *pred,
-                call,
-                subsumer,
-            },
-            OwnedEvent::SubgoalComplete {
-                pred,
-                answers,
-                bytes,
-            } => TraceEvent::SubgoalComplete {
-                pred: *pred,
-                answers: *answers,
-                bytes: *bytes,
-            },
-        }
-    }
-
-    /// The snake_case event name.
-    pub fn kind(&self) -> &'static str {
-        self.as_event().kind()
-    }
-
-    /// The predicate this event concerns.
-    pub fn pred(&self) -> Functor {
-        self.as_event().pred()
-    }
-
-    /// JSON rendering, identical to the borrowed form's.
-    pub fn to_json(&self) -> String {
-        self.as_event().to_json()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,34 +197,34 @@ mod tests {
         let events = [
             TraceEvent::NewSubgoal {
                 pred: p,
-                call: &k,
+                call: k.clone(),
                 bytes: 10,
             },
             TraceEvent::ClauseResolution { pred: p },
             TraceEvent::AnswerInsert {
                 pred: p,
-                answer: &k,
+                answer: k.clone(),
                 bytes: 10,
             },
             TraceEvent::DuplicateAnswer {
                 pred: p,
-                answer: &k,
+                answer: k.clone(),
             },
             TraceEvent::AnswerReturn { pred: p },
             TraceEvent::CallAbstracted {
                 pred: p,
-                original: &k,
-                abstracted: &k,
+                original: k.clone(),
+                abstracted: k.clone(),
             },
             TraceEvent::AnswerWidened {
                 pred: p,
-                original: &k,
-                widened: &k,
+                original: k.clone(),
+                widened: k.clone(),
             },
             TraceEvent::SubsumedCall {
                 pred: p,
-                call: &k,
-                subsumer: &k,
+                call: k.clone(),
+                subsumer: k.clone(),
             },
             TraceEvent::SubgoalComplete {
                 pred: p,
@@ -438,24 +251,11 @@ mod tests {
     }
 
     #[test]
-    fn owned_round_trips_through_json() {
-        let k = key();
-        let e = TraceEvent::NewSubgoal {
-            pred: Functor::new("p", 2),
-            call: &k,
-            bytes: 48,
-        };
-        let owned = e.to_owned();
-        assert_eq!(owned.to_json(), e.to_json());
-        assert_eq!(owned.as_event(), e);
-    }
-
-    #[test]
     fn json_lines_parse_and_carry_fields() {
         let k = key();
         let e = TraceEvent::AnswerInsert {
             pred: Functor::new("q", 1),
-            answer: &k,
+            answer: k.clone(),
             bytes: 32,
         };
         let v = crate::json::parse(&e.to_json()).expect("valid JSON");
@@ -472,7 +272,7 @@ mod tests {
         let k = key();
         let e = TraceEvent::DuplicateAnswer {
             pred: Functor::new("p", 2),
-            answer: &k,
+            answer: k.clone(),
         };
         assert!(e.to_json().contains("p(_0,a)"), "got: {}", e.to_json());
     }
@@ -480,7 +280,6 @@ mod tests {
     #[test]
     fn events_are_send() {
         fn assert_send<T: Send>() {}
-        assert_send::<OwnedEvent>();
-        assert_send::<TraceEvent<'static>>();
+        assert_send::<TraceEvent>();
     }
 }

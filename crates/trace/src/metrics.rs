@@ -7,10 +7,9 @@
 //! with [`MetricsRegistry::record_phases`]; [`MetricsRegistry::snapshot`]
 //! freezes everything into a [`MetricsReport`] for rendering.
 
-use crate::counter::{CounterSample, CounterTrack};
 use crate::event::TraceEvent;
-use crate::health::{HealthSnapshot, HealthTrack};
 use crate::json::escape;
+use crate::sample::{Sample, SampleTrack};
 use crate::sink::TraceSink;
 use crate::span::{SpanEvent, SpanId, SpanRecorder, SpanTree};
 use std::collections::BTreeMap;
@@ -129,15 +128,14 @@ impl EngineSnapshot {
 }
 
 /// A [`TraceSink`] accumulating per-predicate statistics and phase timings.
-/// Spans (when the engine records them) are retained too and rolled up into
-/// the snapshot's [`SpanTree`].
+/// Spans and samples (when the engine records them) are retained too; spans
+/// are rolled up into the snapshot's [`SpanTree`].
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     preds: Mutex<BTreeMap<Functor, PredStats>>,
     phases: Mutex<Vec<(String, Duration)>>,
     spans: SpanRecorder,
-    counters: CounterTrack,
-    health: HealthTrack,
+    samples: SampleTrack,
 }
 
 impl MetricsRegistry {
@@ -177,16 +175,10 @@ impl MetricsRegistry {
         &self.spans
     }
 
-    /// The counter time-series recorded through this registry — populated
-    /// when the engine ran with `record_counters` on, empty otherwise.
-    pub fn counters(&self) -> &CounterTrack {
-        &self.counters
-    }
-
-    /// The run-health snapshots recorded through this registry — populated
-    /// when the engine ran with a health config, empty otherwise.
-    pub fn health(&self) -> &HealthTrack {
-        &self.health
+    /// The samples recorded through this registry, in emission order —
+    /// populated when the engine ran with `sampling` set, empty otherwise.
+    pub fn samples(&self) -> Vec<Sample> {
+        self.samples.samples()
     }
 
     /// Freezes the current state into a report.
@@ -209,7 +201,7 @@ impl MetricsRegistry {
 }
 
 impl TraceSink for MetricsRegistry {
-    fn event(&self, e: &TraceEvent<'_>) {
+    fn event(&self, e: &TraceEvent) {
         let mut preds = lock(&self.preds);
         let s = preds.entry(e.pred()).or_default();
         match *e {
@@ -241,12 +233,8 @@ impl TraceSink for MetricsRegistry {
         self.spans.span_exit(id, t_ns);
     }
 
-    fn counter_sample(&self, s: &CounterSample) {
-        self.counters.record(s);
-    }
-
-    fn health(&self, s: &HealthSnapshot) {
-        self.health.record(s);
+    fn sample(&self, s: &Sample) {
+        self.samples.sample(s);
     }
 }
 
@@ -435,19 +423,19 @@ mod tests {
         let k: Vec<Term> = vec![structure("p", vec![var(Var(0)), atom("a")])];
         reg.event(&TraceEvent::NewSubgoal {
             pred: p,
-            call: &k,
+            call: k.clone(),
             bytes: 48,
         });
         reg.event(&TraceEvent::ClauseResolution { pred: p });
         reg.event(&TraceEvent::ClauseResolution { pred: p });
         reg.event(&TraceEvent::AnswerInsert {
             pred: p,
-            answer: &k,
+            answer: k.clone(),
             bytes: 40,
         });
         reg.event(&TraceEvent::DuplicateAnswer {
             pred: p,
-            answer: &k,
+            answer: k.clone(),
         });
         reg.event(&TraceEvent::AnswerReturn { pred: p });
         reg.event(&TraceEvent::SubgoalComplete {
@@ -457,23 +445,23 @@ mod tests {
         });
         reg.event(&TraceEvent::NewSubgoal {
             pred: q,
-            call: &k,
+            call: k.clone(),
             bytes: 16,
         });
         reg.event(&TraceEvent::CallAbstracted {
             pred: q,
-            original: &k,
-            abstracted: &k,
+            original: k.clone(),
+            abstracted: k.clone(),
         });
         reg.event(&TraceEvent::AnswerWidened {
             pred: q,
-            original: &k,
-            widened: &k,
+            original: k.clone(),
+            widened: k.clone(),
         });
         reg.event(&TraceEvent::SubsumedCall {
             pred: q,
-            call: &k,
-            subsumer: &k,
+            call: k.clone(),
+            subsumer: k.clone(),
         });
     }
 

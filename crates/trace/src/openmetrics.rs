@@ -1,8 +1,8 @@
-//! OpenMetrics text exposition of [`HealthSnapshot`]s.
+//! OpenMetrics text exposition of [`Sample`]s.
 //!
 //! The north-star `tablog serve` daemon wants its vital signs scraped by
 //! off-the-shelf collectors (Prometheus and friends speak the OpenMetrics
-//! text format). This module renders a snapshot — or a whole snapshot
+//! text format). This module renders a sample — or a whole sample
 //! series with timestamps — as `# TYPE`-declared gauge and counter
 //! families, and ships a small validator so tests (and CI) can hold the
 //! exporter to the format instead of to a golden string.
@@ -22,17 +22,17 @@
 //! (series export only) are seconds on the [`crate::span::now_ns`]
 //! monotonic timeline; the exposition ends with the mandatory `# EOF`.
 
-use crate::health::HealthSnapshot;
+use crate::sample::Sample;
 
 /// One metric family: its declared name, OpenMetrics type, help text, and
-/// a closure projecting the sample line body out of a snapshot.
+/// a closure projecting the sample line body out of a sample.
 struct Family {
     name: &'static str,
     kind: &'static str,
     help: &'static str,
-    /// Renders `(labels, value)` pairs for one snapshot; `None` skips the
-    /// snapshot (e.g. peak heap when the tracking allocator is absent).
-    sample: fn(&HealthSnapshot) -> Vec<(&'static str, f64)>,
+    /// Renders `(labels, value)` pairs for one sample; an empty list skips the
+    /// sample (e.g. peak heap when the tracking allocator is absent).
+    sample: fn(&Sample) -> Vec<(&'static str, f64)>,
 }
 
 fn families() -> Vec<Family> {
@@ -118,7 +118,7 @@ fn value(v: f64) -> String {
     }
 }
 
-fn render(samples: &[HealthSnapshot], timestamps: bool) -> String {
+fn render(samples: &[Sample], timestamps: bool) -> String {
     let mut out = String::new();
     for f in families() {
         let lines: Vec<String> = samples
@@ -155,16 +155,16 @@ fn render(samples: &[HealthSnapshot], timestamps: bool) -> String {
     out
 }
 
-/// Renders the latest snapshot as an OpenMetrics exposition (no
+/// Renders the latest sample as an OpenMetrics exposition (no
 /// timestamps — scrape semantics: "the state right now").
-pub fn openmetrics(latest: &HealthSnapshot) -> String {
+pub fn openmetrics(latest: &Sample) -> String {
     render(std::slice::from_ref(latest), false)
 }
 
-/// Renders a snapshot series as an OpenMetrics exposition with one
-/// timestamped sample line per snapshot per family — the whole run's
+/// Renders a sample series as an OpenMetrics exposition with one
+/// timestamped sample line per sample per family — the whole run's
 /// health history in a form collectors and humans can both read.
-pub fn openmetrics_series(samples: &[HealthSnapshot]) -> String {
+pub fn openmetrics_series(samples: &[Sample]) -> String {
     render(samples, true)
 }
 
@@ -271,8 +271,8 @@ pub fn validate_openmetrics(text: &str) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn snap(t_ns: u64, answers: usize, peak: Option<usize>) -> HealthSnapshot {
-        HealthSnapshot {
+    fn snap(t_ns: u64, answers: usize, peak: Option<usize>) -> Sample {
+        Sample {
             t_ns,
             steps: 100,
             worklist: 5,

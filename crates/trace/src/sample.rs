@@ -1,20 +1,18 @@
-//! Run-health snapshots: the engine's vital signs while an evaluation is
-//! still running, plus the stall watchdog reading them.
+//! Sampling: one time series of the engine's evolving state, plus the
+//! stall watchdog reading it.
 //!
-//! The counter time-series of [`crate::counter`] records *every* dispatch
-//! boundary — perfect for offline timeline reconstruction, far too chatty
-//! for a supervisor watching a long-lived query. A [`HealthSnapshot`] is
-//! the coarse periodic companion: emitted every N tasks or T milliseconds
-//! through a dedicated default-no-op [`TraceSink::health`] method, it
-//! carries the same exact counters plus the derived quantities a monitor
-//! wants precomputed (completed-table count, answer derivation rate, peak
-//! heap when the tracking allocator is installed) and the verdict of the
-//! [`StallWatchdog`]: whether the run looks like productive work or like
-//! the table-growth-only signature of divergence.
+//! Aggregate counters (steps, answers, table bytes) say what an evaluation
+//! cost in total; a *series* of the same quantities says how the cost
+//! evolved — whether the worklist drained steadily or ballooned, when the
+//! table space cliff happened, whether the run is still productive. The
+//! engine takes a [`Sample`] at worklist dispatch boundaries on the cadence
+//! of `EngineOptions::sampling` and hands it to the dedicated default-no-op
+//! [`TraceSink::sample`] method; every view — Chrome counter tracks,
+//! OpenMetrics, JSON lines, `tablog watch`, `--progress` — reads that one
+//! series. With sampling off no sample (and no timestamp) is ever taken.
 //!
-//! [`HealthTrack`] is the retaining sink, mirroring
-//! [`crate::counter::CounterTrack`]; the OpenMetrics exporter in
-//! [`mod@crate::openmetrics`] renders its samples for scraping.
+//! [`SampleTrack`] is the retaining sink; the [`StallWatchdog`] scores each
+//! sample window for the table-growth-only signature of divergence.
 
 use crate::sink::TraceSink;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -23,14 +21,14 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One periodic observation of a running evaluation's health, taken at a
-/// worklist dispatch boundary. Counter fields are exact and deterministic
-/// for a given program/goal/strategy; `t_ns`, `answer_rate`, `stalled`,
-/// and `peak_heap_bytes` depend on wall-clock time and the host.
+/// One observation of a running evaluation, taken at a worklist dispatch
+/// boundary. Counter fields are exact and deterministic for a given
+/// program/goal/strategy; `t_ns`, `answer_rate`, `stalled`, and
+/// `peak_heap_bytes` depend on wall-clock time and the host.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct HealthSnapshot {
+pub struct Sample {
     /// Monotonic timestamp from [`crate::span::now_ns`], sharing the span
-    /// and counter timeline.
+    /// timeline so samples and spans align in a trace viewer.
     pub t_ns: u64,
     /// Worklist tasks executed so far (the engine's step counter).
     pub steps: usize,
@@ -51,7 +49,7 @@ pub struct HealthSnapshot {
     /// Current table space in bytes (incremental accounting).
     pub table_bytes: usize,
     /// Unique answers per second over the window since the previous
-    /// snapshot (whole-run average for the first and final snapshots).
+    /// sample (whole-run average when sampling is off).
     pub answer_rate: f64,
     /// Peak process heap in bytes, when the `tablog-alloc` tracking
     /// allocator is installed; `None` otherwise.
@@ -62,9 +60,9 @@ pub struct HealthSnapshot {
     pub stalled: bool,
 }
 
-impl HealthSnapshot {
-    /// Renders the snapshot as a JSON object (the `JsonLinesSink` line
-    /// body and the `tablog watch --json` payload).
+impl Sample {
+    /// Renders the sample as a JSON object (the `JsonLinesSink` line body
+    /// and the `tablog watch --json` payload).
     pub fn to_json(&self) -> String {
         let peak = match self.peak_heap_bytes {
             Some(b) => b.to_string(),
@@ -92,54 +90,47 @@ impl HealthSnapshot {
     }
 }
 
-/// A [`TraceSink`] retaining every health snapshot, in emission order —
-/// what `tablog watch` and the OpenMetrics exporter read.
+/// A [`TraceSink`] retaining every sample, in emission order — what the
+/// exporters and `tablog watch` read.
 #[derive(Debug, Default)]
-pub struct HealthTrack {
-    samples: Mutex<Vec<HealthSnapshot>>,
+pub struct SampleTrack {
+    samples: Mutex<Vec<Sample>>,
 }
 
-impl HealthTrack {
+impl SampleTrack {
     /// An empty track.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Number of snapshots recorded so far.
+    /// Number of samples recorded so far.
     pub fn len(&self) -> usize {
         lock(&self.samples).len()
     }
 
-    /// Whether no snapshots were recorded.
+    /// Whether no samples were recorded.
     pub fn is_empty(&self) -> bool {
         lock(&self.samples).is_empty()
     }
 
-    /// Records one snapshot (also reachable through the sink interface).
-    pub fn record(&self, s: &HealthSnapshot) {
-        lock(&self.samples).push(*s);
-    }
-
-    /// The recorded snapshots, in emission order.
-    pub fn samples(&self) -> Vec<HealthSnapshot> {
+    /// The recorded samples, in emission order.
+    pub fn samples(&self) -> Vec<Sample> {
         lock(&self.samples).clone()
     }
 
-    /// The most recent snapshot, if any — the end-of-run state.
-    pub fn last(&self) -> Option<HealthSnapshot> {
+    /// The most recent sample, if any — the end-of-run state.
+    pub fn last(&self) -> Option<Sample> {
         lock(&self.samples).last().copied()
     }
 }
 
-impl TraceSink for HealthTrack {
-    fn event(&self, _e: &crate::event::TraceEvent<'_>) {}
-
-    fn health(&self, s: &HealthSnapshot) {
-        self.record(s);
+impl TraceSink for SampleTrack {
+    fn sample(&self, s: &Sample) {
+        lock(&self.samples).push(*s);
     }
 }
 
-/// Divergence heuristic over successive snapshot windows.
+/// Divergence heuristic over successive sample windows.
 ///
 /// A healthy tabled evaluation keeps admitting answers; the classic
 /// divergent one (unbounded call abstraction off, e.g. `q(X) :- q(f(X))`)
@@ -199,8 +190,8 @@ impl StallWatchdog {
 mod tests {
     use super::*;
 
-    fn snap(t_ns: u64, answers: usize) -> HealthSnapshot {
-        HealthSnapshot {
+    fn sample(t_ns: u64, answers: usize) -> Sample {
+        Sample {
             t_ns,
             steps: 10,
             worklist: 3,
@@ -218,21 +209,21 @@ mod tests {
     }
 
     #[test]
-    fn track_retains_snapshots_in_order() {
-        let track = HealthTrack::new();
+    fn track_retains_samples_in_order() {
+        let track = SampleTrack::new();
         assert!(track.is_empty());
-        TraceSink::health(&track, &snap(10, 1));
-        track.record(&snap(20, 2));
+        track.sample(&sample(10, 1));
+        track.sample(&sample(20, 2));
         assert_eq!(track.len(), 2);
         let got = track.samples();
         assert_eq!(got[0].t_ns, 10);
         assert_eq!(got[1].answers, 2);
-        assert_eq!(track.last(), Some(snap(20, 2)));
+        assert_eq!(track.last(), Some(sample(20, 2)));
     }
 
     #[test]
-    fn snapshot_json_parses_with_every_field() {
-        let mut s = snap(7, 5);
+    fn sample_json_parses_with_every_field() {
+        let mut s = sample(7, 5);
         s.peak_heap_bytes = Some(4096);
         s.stalled = true;
         let v = crate::json::parse(&s.to_json()).expect("valid JSON");
@@ -254,7 +245,7 @@ mod tests {
         }
         assert_eq!(v.get("stalled"), Some(&crate::json::JsonValue::Bool(true)));
         // Absent heap tracking renders as null, still valid JSON.
-        let v = crate::json::parse(&snap(1, 1).to_json()).expect("valid JSON");
+        let v = crate::json::parse(&sample(1, 1).to_json()).expect("valid JSON");
         assert_eq!(
             v.get("peak_heap_bytes"),
             Some(&crate::json::JsonValue::Null)
@@ -262,9 +253,9 @@ mod tests {
     }
 
     #[test]
-    fn default_sink_ignores_health() {
+    fn default_sink_ignores_samples() {
         let sink = crate::sink::CountingSink::new();
-        sink.health(&snap(1, 1));
+        sink.sample(&sample(1, 1));
         assert_eq!(sink.total(), 0);
     }
 

@@ -5,11 +5,10 @@
 //! `Send + Sync` so engines (which are `Send`) can carry them across
 //! threads and the parallel multi-program driver can share one sink.
 
-use crate::counter::CounterSample;
-use crate::event::{OwnedEvent, TraceEvent};
-use crate::health::HealthSnapshot;
+use crate::event::TraceEvent;
+use crate::sample::Sample;
 use crate::span::{SpanEvent, SpanId};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -17,10 +16,11 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A consumer of engine trace events.
+/// A consumer of engine trace events, spans, and samples. Every method
+/// defaults to a no-op, so a sink implements only what it observes.
 pub trait TraceSink: Send + Sync {
-    /// Observes one event. Borrowed: retain via [`TraceEvent::to_owned`].
-    fn event(&self, e: &TraceEvent<'_>);
+    /// Observes one event.
+    fn event(&self, _e: &TraceEvent) {}
 
     /// Observes the opening edge of a timed span (see [`crate::span`]).
     /// Default: ignore — sinks that predate spans are unaffected.
@@ -29,14 +29,8 @@ pub trait TraceSink: Send + Sync {
     /// Observes the closing edge of the span opened with `id`.
     fn span_exit(&self, _id: SpanId, _t_ns: u64) {}
 
-    /// Observes one counter time-series sample (see [`crate::counter`]).
-    /// Default: ignore — sinks that predate counters are unaffected.
-    fn counter_sample(&self, _s: &CounterSample) {}
-
-    /// Observes one periodic run-health snapshot (see [`crate::health`]).
-    /// Default: ignore — sinks that predate health reporting are
-    /// unaffected.
-    fn health(&self, _s: &HealthSnapshot) {}
+    /// Observes one sample of the engine's state (see [`crate::sample`]).
+    fn sample(&self, _s: &Sample) {}
 
     /// Flushes any buffered output (e.g. a JSON-lines writer).
     fn flush(&self) {}
@@ -47,9 +41,7 @@ pub trait TraceSink: Send + Sync {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoopSink;
 
-impl TraceSink for NoopSink {
-    fn event(&self, _e: &TraceEvent<'_>) {}
-}
+impl TraceSink for NoopSink {}
 
 /// Counts events by kind.
 #[derive(Debug, Default)]
@@ -80,7 +72,7 @@ impl CountingSink {
 }
 
 impl TraceSink for CountingSink {
-    fn event(&self, e: &TraceEvent<'_>) {
+    fn event(&self, e: &TraceEvent) {
         *lock(&self.counts).entry(e.kind()).or_insert(0) += 1;
     }
 }
@@ -121,7 +113,7 @@ impl<W: Write + Send> JsonLinesSink<W> {
 }
 
 impl<W: Write + Send> TraceSink for JsonLinesSink<W> {
-    fn event(&self, e: &TraceEvent<'_>) {
+    fn event(&self, e: &TraceEvent) {
         self.write_line(&e.to_json());
     }
 
@@ -150,12 +142,8 @@ impl<W: Write + Send> TraceSink for JsonLinesSink<W> {
         ));
     }
 
-    fn counter_sample(&self, s: &CounterSample) {
-        self.write_line(&format!("{{\"counter\":{}}}", s.to_json()));
-    }
-
-    fn health(&self, s: &HealthSnapshot) {
-        self.write_line(&format!("{{\"health\":{}}}", s.to_json()));
+    fn sample(&self, s: &Sample) {
+        self.write_line(&format!("{{\"sample\":{}}}", s.to_json()));
     }
 
     fn flush(&self) {
@@ -199,51 +187,6 @@ impl Write for SharedBuf {
     }
 }
 
-/// Retains the last `capacity` events, oldest evicted first.
-#[derive(Debug)]
-pub struct RingBufferSink {
-    capacity: usize,
-    buf: Mutex<VecDeque<OwnedEvent>>,
-}
-
-impl RingBufferSink {
-    /// A ring holding at most `capacity` events (capacity 0 holds none).
-    pub fn new(capacity: usize) -> Self {
-        RingBufferSink {
-            capacity,
-            buf: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
-        }
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> Vec<OwnedEvent> {
-        lock(&self.buf).iter().cloned().collect()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        lock(&self.buf).len()
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        lock(&self.buf).is_empty()
-    }
-}
-
-impl TraceSink for RingBufferSink {
-    fn event(&self, e: &TraceEvent<'_>) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut buf = lock(&self.buf);
-        if buf.len() == self.capacity {
-            buf.pop_front();
-        }
-        buf.push_back(e.to_owned());
-    }
-}
-
 /// Fans every event out to several sinks in order.
 #[derive(Clone, Default)]
 pub struct MultiSink {
@@ -279,7 +222,7 @@ impl MultiSink {
 }
 
 impl TraceSink for MultiSink {
-    fn event(&self, e: &TraceEvent<'_>) {
+    fn event(&self, e: &TraceEvent) {
         for s in &self.sinks {
             s.event(e);
         }
@@ -297,15 +240,9 @@ impl TraceSink for MultiSink {
         }
     }
 
-    fn counter_sample(&self, c: &CounterSample) {
+    fn sample(&self, c: &Sample) {
         for s in &self.sinks {
-            s.counter_sample(c);
-        }
-    }
-
-    fn health(&self, h: &HealthSnapshot) {
-        for s in &self.sinks {
-            s.health(h);
+            s.sample(c);
         }
     }
 
@@ -321,12 +258,13 @@ mod tests {
     use super::*;
     use tablog_term::{atom, structure, var, Functor, Term, Var};
 
-    fn sample<'a>(k: &'a [Term]) -> [TraceEvent<'a>; 3] {
+    fn events() -> [TraceEvent; 3] {
         let p = Functor::new("p", 2);
+        let k: Vec<Term> = vec![structure("p", vec![var(Var(0)), atom("a")])];
         [
             TraceEvent::NewSubgoal {
                 pred: p,
-                call: k,
+                call: k.clone(),
                 bytes: 48,
             },
             TraceEvent::ClauseResolution { pred: p },
@@ -338,15 +276,10 @@ mod tests {
         ]
     }
 
-    fn key() -> Vec<Term> {
-        vec![structure("p", vec![var(Var(0)), atom("a")])]
-    }
-
     #[test]
     fn counting_sink_tallies_by_kind() {
-        let k = key();
         let sink = CountingSink::new();
-        for e in sample(&k) {
+        for e in events() {
             sink.event(&e);
         }
         sink.event(&TraceEvent::ClauseResolution {
@@ -360,10 +293,9 @@ mod tests {
 
     #[test]
     fn json_lines_sink_emits_one_valid_object_per_line() {
-        let k = key();
         let buf = SharedBuf::new();
         let sink = JsonLinesSink::new(buf.clone());
-        for e in sample(&k) {
+        for e in events() {
             sink.event(&e);
         }
         sink.flush();
@@ -376,29 +308,15 @@ mod tests {
     }
 
     #[test]
-    fn ring_buffer_evicts_oldest() {
-        let k = key();
-        let sink = RingBufferSink::new(2);
-        for e in sample(&k) {
-            sink.event(&e);
-        }
-        let events = sink.events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].kind(), "clause_resolution");
-        assert_eq!(events[1].kind(), "answer_insert");
-    }
-
-    #[test]
     fn multi_sink_fans_out() {
-        let k = key();
         let a = Arc::new(CountingSink::new());
-        let b = Arc::new(RingBufferSink::new(10));
+        let b = Arc::new(CountingSink::new());
         let multi = MultiSink::new().with(a.clone()).with(b.clone());
-        for e in sample(&k) {
+        for e in events() {
             multi.event(&e);
         }
         assert_eq!(a.total(), 3);
-        assert_eq!(b.len(), 3);
+        assert_eq!(b.total(), 3);
     }
 
     #[test]

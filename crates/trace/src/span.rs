@@ -168,8 +168,6 @@ impl SpanRecorder {
 }
 
 impl TraceSink for SpanRecorder {
-    fn event(&self, _e: &crate::event::TraceEvent<'_>) {}
-
     fn span_enter(&self, s: &SpanEvent<'_>) {
         lock(&self.spans).push(RawSpan {
             id: s.id,

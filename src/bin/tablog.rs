@@ -20,11 +20,11 @@
 //! tablog watch FILE.pl GOAL [--interval MS] [--metrics OUT.prom]
 //!             [--max-steps N] [--deadline MS] [--max-table-bytes B]
 //!                                       evaluate under resource budgets,
-//!                                       streaming health snapshots to
-//!                                       stderr; a tripped budget reports
-//!                                       the partial answers instead of
-//!                                       failing. --metrics writes the
-//!                                       snapshot series as OpenMetrics text
+//!                                       streaming samples to stderr; a
+//!                                       tripped budget reports the partial
+//!                                       answers instead of failing.
+//!                                       --metrics writes the sample series
+//!                                       as OpenMetrics text
 //! tablog bench-diff OLD.json NEW.json [--max-time-regress PCT]
 //!                   [--max-bytes-regress PCT] [--max-heap-regress PCT]
 //!                                       compare two paper_tables --json
@@ -64,15 +64,15 @@
 //!   multiple input files on up to `N` worker threads; output stays in
 //!   input order.
 //! * `--progress` — live single-line status on stderr (steps, answers,
-//!   tables, table bytes), rewritten in place; automatically off when
-//!   stderr is not a terminal.
+//!   tables, table bytes), rewritten in place at most every 100 ms;
+//!   automatically off when stderr is not a terminal.
 //!
 //! An unknown `--flag` is an error naming it, followed by the usage.
 
 use std::fs::File;
 use std::io::{BufWriter, IsTerminal, Write};
 use std::process::ExitCode;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use tablog_core::depthk::{DepthKAnalyzer, DEFAULT_K};
 use tablog_core::direct::DirectAnalyzer;
@@ -80,8 +80,8 @@ use tablog_core::groundness::{EntryPoint, GroundnessAnalyzer};
 use tablog_core::strictness::StrictnessAnalyzer;
 use tablog_domain::DomainKind;
 use tablog_engine::{
-    Engine, EngineOptions, HealthConfig, HealthSnapshot, HealthTrack, JsonLinesSink, LoadMode,
-    MetricsRegistry, MetricsReport, MultiSink, Scheduling, TraceSink,
+    Engine, EngineOptions, JsonLinesSink, LoadMode, MetricsRegistry, MetricsReport, MultiSink,
+    Sample, SampleConfig, SampleTrack, Scheduling, TraceSink,
 };
 use tablog_syntax::term_to_string;
 
@@ -105,8 +105,8 @@ fn usage() -> String {
                                    --counters adds counter time-series tracks)\n\
      watch   FILE GOAL [--interval MS] [--metrics OUT.prom] [--max-steps N]\n\
                        [--deadline MS] [--max-table-bytes B]\n\
-                                  (budgeted evaluation with live health\n\
-                                   snapshots; partial answers on a trip)\n\
+                                  (budgeted evaluation with live samples;\n\
+                                   partial answers on a trip)\n\
      bench-diff OLD.json NEW.json [--max-time-regress PCT] [--max-bytes-regress PCT]\n\
                                   [--max-heap-regress PCT]\n\
      explain FILE GOAL [--depth N] [--analysis ground|depthk|strict|direct]\n\
@@ -146,78 +146,60 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
-/// The engine's whole-evaluation counters, for embedding in reports.
-fn engine_snapshot(
-    eval: &tablog_engine::Evaluation,
-    domain: DomainKind,
-) -> tablog_trace::EngineSnapshot {
-    let s = eval.stats();
-    tablog_trace::EngineSnapshot {
-        scheduler: eval.scheduler().to_string(),
-        domain: domain.name().to_owned(),
-        steps: s.steps as u64,
-        clause_resolutions: s.clause_resolutions as u64,
-        subgoals: s.subgoals as u64,
-        answers: s.answers as u64,
-        duplicate_answers: s.duplicate_answers as u64,
-        table_bytes: s.table_bytes as u64,
-    }
+/// One sample as a status line: what `--progress` repaints and `watch`
+/// prints.
+fn status_line(s: &Sample) -> String {
+    format!(
+        "{} steps | {} answers ({:.0}/s) | {}/{} tables | {} KiB | worklist {}{}",
+        s.steps,
+        s.answers,
+        s.answer_rate,
+        s.completed_tables,
+        s.tables,
+        s.table_bytes / 1024,
+        s.worklist,
+        if s.stalled { " | STALLED" } else { "" }
+    )
 }
 
-/// A `--progress` status line: one stderr line rewritten in place on every
-/// health snapshot, erased when the run finishes. Only constructed when
-/// stderr is a terminal, so piped/captured runs stay byte-clean.
-struct ProgressSink;
+/// A `--progress` status line: one stderr line rewritten in place at most
+/// every 100 ms of the samples' own timeline, erased when the run finishes.
+/// Only constructed when stderr is a terminal, so piped/captured runs stay
+/// byte-clean.
+#[derive(Default)]
+struct ProgressSink {
+    /// `t_ns` of the last repaint, `None` before the first.
+    painted: Mutex<Option<u64>>,
+}
 
 impl ProgressSink {
-    fn clear() {
+    const REPAINT_NS: u64 = 100_000_000;
+}
+
+impl TraceSink for ProgressSink {
+    fn sample(&self, s: &Sample) {
+        let mut painted = self.painted.lock().unwrap_or_else(PoisonError::into_inner);
+        if painted.is_some_and(|t| s.t_ns.saturating_sub(t) < Self::REPAINT_NS) {
+            return;
+        }
+        *painted = Some(s.t_ns);
+        eprint!("\r\x1b[2K{}", status_line(s));
+        let _ = std::io::stderr().flush();
+    }
+
+    fn flush(&self) {
         eprint!("\r\x1b[2K");
         let _ = std::io::stderr().flush();
     }
 }
 
-impl TraceSink for ProgressSink {
-    fn event(&self, _e: &tablog_trace::TraceEvent) {}
-
-    fn health(&self, s: &HealthSnapshot) {
-        eprint!(
-            "\r\x1b[2K{} steps | {} answers ({:.0}/s) | {}/{} tables | {} KiB | worklist {}{}",
-            s.steps,
-            s.answers,
-            s.answer_rate,
-            s.completed_tables,
-            s.tables,
-            s.table_bytes / 1024,
-            s.worklist,
-            if s.stalled { " | STALLED" } else { "" }
-        );
-        let _ = std::io::stderr().flush();
-    }
-
-    fn flush(&self) {
-        Self::clear();
-    }
-}
-
-/// `watch`'s live view: one stderr line per health snapshot, scrolling —
-/// observable under pipes and `watch`-style supervision alike.
+/// `watch`'s live view: one stderr line per sample, scrolling — observable
+/// under pipes and `watch`-style supervision alike.
 struct WatchLineSink;
 
 impl TraceSink for WatchLineSink {
-    fn event(&self, _e: &tablog_trace::TraceEvent) {}
-
-    fn health(&self, s: &HealthSnapshot) {
-        eprintln!(
-            "watch: {} steps | {} answers ({:.0}/s) | {}/{} tables | {} KiB | worklist {}{}",
-            s.steps,
-            s.answers,
-            s.answer_rate,
-            s.completed_tables,
-            s.tables,
-            s.table_bytes / 1024,
-            s.worklist,
-            if s.stalled { " | STALLED" } else { "" }
-        );
+    fn sample(&self, s: &Sample) {
+        eprintln!("watch: {}", status_line(s));
     }
 }
 
@@ -229,8 +211,8 @@ struct Obs {
     sink: Option<Arc<dyn TraceSink>>,
     /// Live status line when `--progress` was given and stderr is a tty.
     progress: Option<Arc<dyn TraceSink>>,
-    /// Snapshot cadence driving the `--progress` line.
-    health: Option<HealthConfig>,
+    /// Sampling cadence driving the `--progress` line.
+    sampling: Option<SampleConfig>,
     /// SLG scheduling strategy for engine-backed commands.
     scheduling: Scheduling,
     /// Worker threads for multi-file analysis commands.
@@ -330,8 +312,8 @@ fn extract_obs(args: &[String]) -> Result<(Vec<String>, Obs), String> {
         None => None,
     };
     // `--progress` is a no-op when stderr is piped or captured: no sink is
-    // attached and no health cadence is enabled, so output stays identical
-    // to a run without the flag.
+    // attached and no sampling is enabled, so output stays identical to a
+    // run without the flag.
     let tty = progress && std::io::stderr().is_terminal();
     Ok((
         rest,
@@ -339,8 +321,8 @@ fn extract_obs(args: &[String]) -> Result<(Vec<String>, Obs), String> {
             profile,
             json,
             sink,
-            progress: tty.then(|| Arc::new(ProgressSink) as Arc<dyn TraceSink>),
-            health: tty.then(|| HealthConfig::every_ms(100)),
+            progress: tty.then(|| Arc::new(ProgressSink::default()) as Arc<dyn TraceSink>),
+            sampling: tty.then(|| SampleConfig::every_ms(100)),
             scheduling,
             jobs,
             domain,
@@ -436,7 +418,7 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
                 trace: obs.engine_sink(registry.as_ref()),
                 scheduling: obs.scheduling,
                 domain: obs.domain,
-                health: obs.health,
+                sampling: obs.sampling,
                 ..Default::default()
             };
             let engine = Engine::from_source_with(&src, LoadMode::Dynamic, opts)
@@ -492,7 +474,7 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
                 trace: obs.engine_sink(Some(&registry)),
                 scheduling: obs.scheduling,
                 domain: obs.domain,
-                health: obs.health,
+                sampling: obs.sampling,
                 ..Default::default()
             };
             let t0 = Instant::now();
@@ -506,7 +488,7 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
             registry.record_phase("evaluate", t1.elapsed());
             let mut report = registry.snapshot();
             report.options = engine.options().describe();
-            report.engine = Some(engine_snapshot(&eval, obs.domain));
+            report.engine = Some(tablog_core::engine_snapshot(&eval, obs.domain));
             if obs.json {
                 println!("{}", report.to_json());
             } else {
@@ -522,7 +504,7 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
                 scheduling: obs.scheduling,
                 domain: obs.domain,
                 record_spans: true,
-                health: obs.health,
+                sampling: obs.sampling,
                 ..Default::default()
             };
             let t0 = Instant::now();
@@ -536,7 +518,7 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
             registry.record_phase("evaluate", t1.elapsed());
             let mut report = registry.snapshot();
             report.options = engine.options().describe();
-            report.engine = Some(engine_snapshot(&eval, obs.domain));
+            report.engine = Some(tablog_core::engine_snapshot(&eval, obs.domain));
 
             // Predicate -> SCC label, for the per-SCC span rollup. SCCs come
             // out reverse-topological, so the index orders callees first.
@@ -644,8 +626,13 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
                 scheduling: obs.scheduling,
                 domain: obs.domain,
                 record_spans: true,
-                record_counters: counters,
-                health: obs.health,
+                // `--counters` samples after every task; `--progress`
+                // throttles its repaints on the same series.
+                sampling: if counters {
+                    Some(SampleConfig::every_steps(1))
+                } else {
+                    obs.sampling
+                },
                 ..Default::default()
             };
             let engine = Engine::from_source_with(&src, LoadMode::Dynamic, opts)
@@ -654,13 +641,17 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
             let (t, _) = tablog_syntax::parse_term(goal, &mut b).map_err(|e| e.to_string())?;
             engine.evaluate(&[t], &[], &b).map_err(|e| e.to_string())?;
             let tree = registry.spans().snapshot();
-            let samples = registry.counters().samples();
+            let samples = if counters {
+                registry.samples()
+            } else {
+                Vec::new()
+            };
             if counters && samples.is_empty() {
                 // Silently writing a counter-free trace after the user asked
                 // for counter tracks would hide a broken recording pipeline.
                 return Err(
                     "timeline --counters recorded no counter samples: the engine ran \
-                     without counter recording (this is a bug in the sink wiring)"
+                     without sampling (this is a bug in the sink wiring)"
                         .to_string(),
                 );
             }
@@ -705,9 +696,9 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
                 })
                 .transpose()?;
 
-            // The track keeps the snapshot series for --metrics; the line
-            // sink streams each snapshot to stderr as it is taken.
-            let track = Arc::new(HealthTrack::new());
+            // The track keeps the sample series for --metrics; the line
+            // sink streams each sample to stderr as it is taken.
+            let track = Arc::new(SampleTrack::new());
             let mut fan = MultiSink::new()
                 .with(track.clone() as Arc<dyn TraceSink>)
                 .with(Arc::new(WatchLineSink) as Arc<dyn TraceSink>);
@@ -718,7 +709,7 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
                 trace: Some(Arc::new(fan) as Arc<dyn TraceSink>),
                 scheduling: obs.scheduling,
                 domain: obs.domain,
-                health: Some(HealthConfig::every_ms(interval)),
+                sampling: Some(SampleConfig::every_ms(interval)),
                 max_steps,
                 deadline,
                 max_table_bytes,
@@ -732,10 +723,7 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
             if let Some(path) = flag_value(args, "--metrics") {
                 let doc = tablog_trace::openmetrics_series(&track.samples());
                 write_output(path, &doc)?;
-                eprintln!(
-                    "wrote {path}: {} snapshots as OpenMetrics text",
-                    track.len()
-                );
+                eprintln!("wrote {path}: {} samples as OpenMetrics text", track.len());
             }
             if obs.json {
                 let answers: Vec<String> = sols
@@ -791,7 +779,7 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
                         trace: obs.engine_sink(None),
                         scheduling: obs.scheduling,
                         domain: obs.domain,
-                        health: obs.health,
+                        sampling: obs.sampling,
                         ..Default::default()
                     };
                     let engine = Engine::from_source_with(&src, LoadMode::Dynamic, opts)
@@ -849,7 +837,7 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
                 trace: obs.engine_sink(None),
                 scheduling: obs.scheduling,
                 domain: obs.domain,
-                health: obs.health,
+                sampling: obs.sampling,
                 ..Default::default()
             };
             let engine = Engine::from_source_with(&src, LoadMode::Dynamic, opts)
@@ -937,7 +925,7 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
                     an.options.scheduling = obs.scheduling;
                     an.options.domain = obs.domain;
                     an.options.trace = obs.engine_sink(None);
-                    an.options.health = obs.health;
+                    an.options.sampling = obs.sampling;
                     an.analyze_with_entries(&program, &entries)
                         .map_err(|e| format!("{file}: {e}"))
                 });
@@ -992,7 +980,7 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
                 an.profile = obs.profile;
                 an.options.scheduling = obs.scheduling;
                 an.options.trace = obs.engine_sink(None);
-                an.options.health = obs.health;
+                an.options.sampling = obs.sampling;
                 an.analyze_with_entries(&program, &entries)
                     .map_err(|e| format!("{file}: {e}"))
             });
@@ -1052,7 +1040,7 @@ fn dispatch(args: &[String], obs: &Obs) -> Result<(), String> {
             an.profile = obs.profile;
             an.options.scheduling = obs.scheduling;
             an.options.trace = obs.engine_sink(None);
-            an.options.health = obs.health;
+            an.options.sampling = obs.sampling;
             let report = an.analyze_source(&src).map_err(|e| e.to_string())?;
             for f in report.functions() {
                 println!("{}", f.summary());

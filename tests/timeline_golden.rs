@@ -14,7 +14,7 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use tablog_engine::{Engine, EngineOptions, LoadMode, MetricsRegistry};
+use tablog_engine::{Engine, EngineOptions, LoadMode, MetricsRegistry, SampleConfig};
 use tablog_trace::json::{parse, JsonValue};
 use tablog_trace::{chrome_trace, CHROME_COUNTER_TRACKS};
 
@@ -25,14 +25,15 @@ fn figure1_source() -> String {
     std::fs::read_to_string(path).expect("examples/figure1.pl exists")
 }
 
-/// Runs Figure 1 with spans and counters recording and exports the
-/// Chrome-trace document, exactly as `tablog timeline --counters` does.
+/// Runs Figure 1 with spans recording and a sample after every task and
+/// exports the Chrome-trace document, exactly as `tablog timeline
+/// --counters` does.
 fn figure1_trace() -> String {
     let registry = Arc::new(MetricsRegistry::new());
     let opts = EngineOptions {
         trace: Some(registry.clone() as Arc<dyn tablog_trace::TraceSink>),
         record_spans: true,
-        record_counters: true,
+        sampling: Some(SampleConfig::every_steps(1)),
         ..Default::default()
     };
     let engine = Engine::from_source_with(&figure1_source(), LoadMode::Dynamic, opts)
@@ -40,7 +41,7 @@ fn figure1_trace() -> String {
     let mut b = tablog_term::Bindings::new();
     let (g, _) = tablog_syntax::parse_term(GOAL, &mut b).expect("goal parses");
     engine.evaluate(&[g], &[], &b).expect("figure 1 evaluates");
-    chrome_trace(&registry.spans().snapshot(), &registry.counters().samples())
+    chrome_trace(&registry.spans().snapshot(), &registry.samples())
 }
 
 /// The timestamp-free projection of a trace document: one line per event
